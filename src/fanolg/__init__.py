@@ -13,6 +13,7 @@ from .givental import (
     LaurentPolynomial,
     PeriodReport,
     PowerSeries,
+    TermLimitExceeded,
     build_fx,
     constant_term,
     i_series,
@@ -77,6 +78,7 @@ __all__ = [
     "LaurentPolynomial",
     "PowerSeries",
     "PeriodReport",
+    "TermLimitExceeded",
     "build_fx",
     "constant_term",
     "phi_series",

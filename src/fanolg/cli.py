@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every computation is exposed with machine-readable output.  Exit codes: 0 for
-success (including successful verification), 1 for a failed verification, 2
-for invalid input.  JSON output renders every numeric field as a decimal
-string, since the exact values outgrow 64-bit integers quickly.
+success (including successful verification), 1 for a failed verification or
+an exceeded work budget (trace nodes, period term products), 2 for invalid
+input.  JSON output renders every numeric field as a decimal string, since the
+exact values outgrow 64-bit integers quickly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 from typing import Sequence
 
-from .givental import verify_period
+from .givental import TermLimitExceeded, verify_period
 from .jacobian_ring import hodge_h1
 from .lg_count import k_lg, verify_main_theorem
 from .resolution import (
@@ -300,7 +301,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except NodeLimitExceeded as exc:
+    except (NodeLimitExceeded, TermLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -26,6 +26,9 @@ from .exactmath import multinomial
 from .varieties import CompleteIntersection
 
 
+DEFAULT_MAX_PRODUCTS = 20_000_000
+
+
 class LaurentPolynomial:
     """Sparse Laurent polynomial with exact integer coefficients.
 
@@ -52,10 +55,6 @@ class LaurentPolynomial:
                 clean[exponents] = coeff
         self.terms = clean
 
-    @classmethod
-    def one(cls, arity: int) -> "LaurentPolynomial":
-        return cls(arity, {(0,) * arity: 1})
-
     def coefficient(self, exponents: tuple[int, ...]) -> int:
         return self.terms.get(tuple(exponents), 0)
 
@@ -66,30 +65,6 @@ class LaurentPolynomial:
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self.arity == other.arity and self.terms == other.terms
-
-    def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = out.get(e, 0) + c1 * c2
-                if c:
-                    out[e] = c
-                elif e in out:
-                    del out[e]
-        return LaurentPolynomial(self.arity, out)
-
-    def __pow__(self, n: int) -> "LaurentPolynomial":
-        if n < 0:
-            raise ValueError(f"negative powers are not supported, got {n}")
-        result = LaurentPolynomial.one(self.arity)
-        for _ in range(n):
-            result = result * self
-        return result
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial(arity={self.arity}, terms={len(self.terms)})"
@@ -175,12 +150,42 @@ def build_fx(ci: CompleteIntersection) -> LaurentPolynomial:
     return LaurentPolynomial(arity, terms)
 
 
-def _constant_terms(f: LaurentPolynomial, order: int) -> list[int]:
+class TermLimitExceeded(RuntimeError):
+    """Raised when a constant-term expansion would form more term products than
+    its budget allows."""
+
+
+def _constant_terms(
+    f: LaurentPolynomial, order: int, max_products: int = DEFAULT_MAX_PRODUCTS
+) -> list[int]:
     """Constant terms of f^0, f^1, ..., f^order by iterated sparse multiplication.
 
-    After each multiplication, monomials that can no longer reach exponent zero
-    with the remaining factors are discarded.  The window uses the per-variable
-    extremes of f's support, so the pruning never alters a retained coefficient.
+    Box: with lo[v] and hi[v] the extremes of f's support in variable v, every
+    exponent of every power f^m with m <= order lies in the box
+    [min(0, order*lo[v]), max(0, order*hi[v])], variable by variable.
+
+    Packing: the box widths serve as a mixed radix.  An accumulator monomial e
+    is keyed by the integer sum_v (e[v] - min(0, order*lo[v])) * stride[v], with
+    stride[v] the product of the widths of the variables before v; a term of f
+    is keyed without the bias, as the signed offset sum_v e[v] * stride[v].  The
+    sum of the two keys is then exactly the key of the product monomial, and
+    the packing is injective on the box, so a multiplication adds integers.
+
+    Pruning: after each multiplication, monomials that can no longer reach
+    exponent zero with the remaining r factors are discarded, keeping e only if
+    -r*hi[v] <= e[v] <= -r*lo[v] for every v.  The test on v reads digit v of
+    the key, and is skipped when the window holds every exponent that m factors
+    can reach.  The window uses the extremes of f's support, so the pruning
+    never alters a retained coefficient.
+
+    Last power: the constant term of f^order is the dot product
+    sum_e acc[e] * f[-e] over the pruned accumulator of f^(order-1).  It is
+    exact, since pruning dropped only monomials that cannot reach zero, and it
+    avoids forming the full product.
+
+    Budget: before each multiplication, len(acc) * len(f.terms) term products
+    are added to a running total (len(acc) for the dot product), and
+    ``TermLimitExceeded`` is raised if the total would pass ``max_products``.
     """
     out = [1]
     if order == 0:
@@ -190,24 +195,45 @@ def _constant_terms(f: LaurentPolynomial, order: int) -> list[int]:
     arity = f.arity
     lo = [min(e[v] for e in f.terms) for v in range(arity)]
     hi = [max(e[v] for e in f.terms) for v in range(arity)]
-    zero = (0,) * arity
-    acc: dict[tuple[int, ...], int] = {zero: 1}
+    bias = [min(0, order * a) for a in lo]
+    strides = [1]
+    for v in range(arity):
+        strides.append(strides[v] * (max(0, order * hi[v]) - bias[v] + 1))
+    zero = -sum(b * s for b, s in zip(bias, strides))
+    terms = {sum(x * s for x, s in zip(e, strides)): c for e, c in f.terms.items()}
+    items = list(terms.items())
+
+    acc = {zero: 1}
+    products = 0
     for m in range(1, order + 1):
-        nxt: dict[tuple[int, ...], int] = {}
-        for e1, c1 in acc.items():
-            for e2, c2 in f.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                nxt[e] = nxt.get(e, 0) + c1 * c2
-        out.append(nxt.get(zero, 0))
-        remaining = order - m
-        acc = {
-            e: c
-            for e, c in nxt.items()
-            if c
-            and all(
-                -remaining * hi[v] <= e[v] <= -remaining * lo[v] for v in range(arity)
+        last = m == order
+        products += len(acc) if last else len(acc) * len(items)
+        if products > max_products:
+            raise TermLimitExceeded(
+                f"constant-term expansion to order {order} would form more than"
+                f" {max_products:,} term products by power {m}"
             )
-        }
+        if last:
+            out.append(sum(c * terms.get(zero - k, 0) for k, c in acc.items()))
+            break
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for k1, c1 in acc.items():
+            for k2, c2 in items:
+                k = k1 + k2
+                nxt[k] = get(k, 0) + c1 * c2
+        out.append(get(zero, 0))
+        remaining = order - m
+        keys = [k for k, c in nxt.items() if c]
+        for v in range(arity):
+            low, high = -remaining * hi[v], -remaining * lo[v]
+            if low <= m * lo[v] and m * hi[v] <= high:
+                continue
+            # digit v lies in [low - bias, high - bias] iff k % w lies in [a, b)
+            s, w = strides[v], strides[v + 1]
+            a, b = (low - bias[v]) * s, (high - bias[v] + 1) * s
+            keys = [k for k in keys if a <= k % w < b]
+        acc = {k: nxt[k] for k in keys}
     return out
 
 
@@ -218,11 +244,17 @@ def constant_term(f: LaurentPolynomial, n: int) -> int:
     return _constant_terms(f, n)[n]
 
 
-def phi_series(f: LaurentPolynomial, order: int) -> PowerSeries:
-    """Constant-term series of f up to the given truncation order."""
+def phi_series(
+    f: LaurentPolynomial, order: int, max_products: int = DEFAULT_MAX_PRODUCTS
+) -> PowerSeries:
+    """Constant-term series of f up to the given truncation order.
+
+    Raises ``TermLimitExceeded`` when the expansion would form more than
+    ``max_products`` term products.
+    """
     if order < 0:
         raise ValueError(f"truncation order must be >= 0, got {order}")
-    return PowerSeries(order, tuple(_constant_terms(f, order)))
+    return PowerSeries(order, tuple(_constant_terms(f, order, max_products)))
 
 
 def i_series(ci: CompleteIntersection, order: int) -> PowerSeries:
@@ -260,14 +292,17 @@ def _first_mismatch(a: tuple[int, ...], b: tuple[int, ...]) -> int | None:
     return None
 
 
-def verify_period(ci: CompleteIntersection, order: int) -> PeriodReport:
+def verify_period(
+    ci: CompleteIntersection, order: int, max_products: int = DEFAULT_MAX_PRODUCTS
+) -> PeriodReport:
     """Compare the constant-term expansion of the mirror polynomial with the
     closed-form series, coefficient by coefficient up to ``order``.
 
     Exact equality is required; on failure the first differing index is
-    reported.
+    reported.  The expansion is bounded by ``max_products`` term products (see
+    ``phi_series``).
     """
-    phi = phi_series(build_fx(ci), order)
+    phi = phi_series(build_fx(ci), order, max_products)
     closed = i_series(ci, order)
     mismatch = _first_mismatch(phi.coefficients, closed.coefficients)
     return PeriodReport(

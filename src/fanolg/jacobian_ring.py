@@ -88,15 +88,17 @@ def count_monomials_oracle(ci: CompleteIntersection) -> int:
     return total
 
 
-def dim_R_1(ci: CompleteIntersection) -> int:
-    """Dimension of the (1, -index) piece of the full quotient ring.
+def _index_one_correction(ci: CompleteIntersection) -> int:
+    """At index 1 the ambient partial derivatives contribute dim + k + 1
+    independent relations in the (1, -index) bidegree; at index >= 2 none."""
+    return ci.dim + ci.k + 1 if ci.index == 1 else 0
 
-    For index >= 2 it coincides with ``dim_R_prime_1``; at index 1 the ambient
-    partial derivatives contribute dim + k + 1 independent relations in exactly
-    this bidegree, which are subtracted.
-    """
-    correction = ci.dim + ci.k + 1 if ci.index == 1 else 0
-    return dim_R_prime_1(ci) - correction
+
+def dim_R_1(ci: CompleteIntersection) -> int:
+    """Dimension of the (1, -index) piece of the full quotient ring:
+    ``dim_R_prime_1`` minus the relations that the ambient partial derivatives
+    contribute at index 1."""
+    return dim_R_prime_1(ci) - _index_one_correction(ci)
 
 
 def alt_dim_formula(ci: CompleteIntersection) -> int:
@@ -118,8 +120,7 @@ def alt_dim_formula(ci: CompleteIntersection) -> int:
         for ivec in product(*ranges):
             top = sum(d - i for d, i in zip(ci.degrees, ivec)) + dj - k - 1
             total += binomial(top, ci.dim)
-    correction = ci.dim + k + 1 if ci.index == 1 else 0
-    return total - correction
+    return total - _index_one_correction(ci)
 
 
 def hodge_h1(ci: CompleteIntersection) -> HodgeReport:
@@ -129,7 +130,7 @@ def hodge_h1(ci: CompleteIntersection) -> HodgeReport:
     class exactly when dim = 2 (the middle (1,1) slot of a surface).
     """
     prime = dim_R_prime_1(ci)
-    full = dim_R_1(ci)
+    full = prime - _index_one_correction(ci)
     h_pr = full
     h = h_pr + 1 if ci.dim == 2 else h_pr
     return HodgeReport(h_pr=h_pr, h=h, dim_R_prime=prime, dim_R=full, index=ci.index)

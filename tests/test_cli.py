@@ -114,6 +114,13 @@ class TestPeriods:
         assert code == 2
         assert "order" in err
 
+    def test_work_budget_exceeded_is_a_one_line_error(self, capsys):
+        code, out, err = run(capsys, "periods", "--dim", "6", "--degrees", "7", "--order", "7")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "term products" in err and "Traceback" not in err
+
 
 class TestFg:
     def test_agreement(self, capsys):

@@ -4,10 +4,13 @@ import random
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanolg import (
     CompleteIntersection,
     LaurentPolynomial,
+    TermLimitExceeded,
     build_fx,
     constant_term,
     fano_sweep,
@@ -32,6 +35,30 @@ def trinomial_cubic_expansion():
     return terms
 
 
+def unpruned_powers(f, order):
+    """Terms of f^0, ..., f^order by plain tuple-keyed multiplication without
+    pruning: an oracle for the engine that shares none of its key packing."""
+    acc = {(0,) * f.arity: 1}
+    powers = [acc]
+    for _ in range(order):
+        nxt = {}
+        for e1, c1 in acc.items():
+            for e2, c2 in f.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                nxt[e] = nxt.get(e, 0) + c1 * c2
+        acc = {e: c for e, c in nxt.items() if c}
+        powers.append(acc)
+    return powers
+
+
+@st.composite
+def laurent_polynomials(draw):
+    arity = draw(st.integers(1, 5))
+    exponents = st.tuples(*[st.integers(-3, 3)] * arity)
+    terms = draw(st.dictionaries(exponents, st.integers(-4, 4), max_size=6))
+    return LaurentPolynomial(arity, terms)
+
+
 class TestLaurentPolynomial:
     def test_zero_coefficients_dropped(self):
         f = LaurentPolynomial(2, {(0, 1): 5, (1, 0): 0})
@@ -42,19 +69,19 @@ class TestLaurentPolynomial:
             LaurentPolynomial(2, {(1,): 1})
 
     def test_multiplication_by_hand(self):
-        # (x + 1/x) * (x - 1/x) = x^2 - 1/x^2
-        f = LaurentPolynomial(1, {(1,): 1, (-1,): 1})
-        g = LaurentPolynomial(1, {(1,): 1, (-1,): -1})
-        assert (f * g).terms == {(2,): 1, (-2,): -1}
+        # (x - 1/x)^2 = x^2 - 2 + 1/x^2
+        f = LaurentPolynomial(1, {(1,): 1, (-1,): -1})
+        assert unpruned_powers(f, 2)[2] == {(2,): 1, (0,): -2, (-2,): 1}
+        assert constant_term(f, 2) == -2
+        # (x + y + 1/(x y))^3 has constant term 3!/(1! 1! 1!)
+        g = LaurentPolynomial(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1})
+        assert constant_term(g, 3) == 6
 
     def test_power(self):
+        # (x + 1/x)^n has constant term C(n, n/2) for even n, 0 for odd n
         f = LaurentPolynomial(1, {(1,): 1, (-1,): 1})
-        assert (f ** 0).terms == {(0,): 1}
-        assert (f ** 2).terms == {(2,): 1, (0,): 2, (-2,): 1}
-
-    def test_arity_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            LaurentPolynomial(1, {(1,): 1}) * LaurentPolynomial(2, {(1, 0): 1})
+        assert unpruned_powers(f, 2)[2] == {(2,): 1, (0,): 2, (-2,): 1}
+        assert [constant_term(f, n) for n in range(7)] == [1, 0, 2, 0, 6, 0, 20]
 
 
 class TestBuildFx:
@@ -109,9 +136,16 @@ class TestConstantTerm:
                 e = tuple(rng.randint(-2, 2) for _ in range(arity))
                 terms[e] = rng.randint(-3, 3)
             f = LaurentPolynomial(arity, terms)
-            for m, n in [(1, 1), (1, 2), (2, 2)]:
-                split = (f ** m * f ** n).coefficient((0,) * arity)
-                assert constant_term(f, m + n) == split
+            powers = unpruned_powers(f, 4)
+            for n in range(5):
+                assert constant_term(f, n) == powers[n].get((0,) * arity, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(laurent_polynomials(), st.integers(0, 8))
+    def test_property_agrees_with_unpruned_power(self, f, order):
+        zero = (0,) * f.arity
+        expected = tuple(power.get(zero, 0) for power in unpruned_powers(f, order))
+        assert phi_series(f, order).coefficients == expected
 
     def test_variable_that_cannot_cancel(self):
         f = LaurentPolynomial(1, {(1,): 1, (2,): 1})
@@ -121,6 +155,21 @@ class TestConstantTerm:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             constant_term(build_fx(CUBIC_SURFACE), -1)
+
+
+class TestWorkBudget:
+    def test_budget_counts_term_products(self):
+        # x + 1/x to order 2: 1 * 2 products for f^1, then a dot product over
+        # the 2 pruned terms of f^1
+        f = LaurentPolynomial(1, {(1,): 1, (-1,): 1})
+        assert phi_series(f, 2, max_products=4).coefficients == (1, 0, 2)
+        with pytest.raises(TermLimitExceeded):
+            phi_series(f, 2, max_products=3)
+
+    def test_default_budget_stops_a_runaway_expansion(self):
+        # f has 1,716 terms; power 3 alone would form about 57M products
+        with pytest.raises(TermLimitExceeded, match="term products"):
+            verify_period(CompleteIntersection(6, (7,)), 7)
 
 
 class TestPhiSeries:
@@ -190,6 +239,14 @@ class TestVerifyPeriod:
             for n in range(order + 1):
                 if n % ci.index:
                     assert report.phi.coefficients[n] == 0, (ci, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(list(fano_sweep(6, 2, 7))), st.data())
+    def test_property_random_fano(self, ci, data):
+        order = data.draw(st.integers(0, ci.index + 1), label="order")
+        report = verify_period(ci, order)
+        assert report.match
+        assert all(c == 0 for n, c in enumerate(report.phi.coefficients) if n % ci.index)
 
     def test_first_mismatch_helper(self):
         assert _first_mismatch((1, 2, 3), (1, 2, 3)) is None
