@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Every computation is exposed with machine-readable output.  Exit codes: 0 for
-success (including successful verification), 1 for a failed verification or
-an exceeded work budget (trace nodes, period term products), 2 for invalid
-input.  JSON output renders every numeric field as a decimal string, since the
-exact values outgrow 64-bit integers quickly.
+success (including successful verification), 1 for a failed verification, 2
+for invalid input, 3 for an exceeded work budget (trace tree nodes, period
+term products) and 4 for any other error; codes 2 to 4 come with a one-line
+``error:`` on stderr.  JSON output renders every numeric field as a decimal
+string, since the exact values outgrow 64-bit integers quickly.
 """
 
 from __future__ import annotations
@@ -279,10 +280,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(run=_cmd_fg)
 
-    p = sub.add_parser("resolve-trace", help="full blow-up rewriting tree of a local model")
+    p = sub.add_parser(
+        "resolve-trace", help="blow-up rewriting of a local model, one node per distinct chart"
+    )
     p.add_argument("--dbar", required=True, help="comma-separated exponents, e.g. 3,2")
     p.add_argument("--s", type=int, required=True, help="number of x-variables")
-    p.add_argument("--node-limit", type=int, default=1_000_000)
+    p.add_argument(
+        "--node-limit",
+        type=int,
+        default=1_000_000,
+        help="budget on the nodes of the rewriting tree, shared subtrees counted each time",
+    )
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(run=_cmd_resolve_trace)
 
@@ -303,10 +311,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.run(args)
     except (NodeLimitExceeded, TermLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # the last boundary: a one-line error, never a traceback
+        message = " ".join(str(exc).split())
+        print(f"error: internal error ({type(exc).__name__}): {message}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

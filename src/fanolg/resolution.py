@@ -10,7 +10,7 @@ whose lexicographically decreasing weight proves termination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import Iterator, NamedTuple
 
@@ -169,83 +169,106 @@ def chart_children(chart: ChartType) -> list[ChartEdge]:
     return edges
 
 
-@dataclass
-class TraceNode:
-    chart: ChartType
-    edges: list[TraceEdge] = field(default_factory=list)
+class TraceEdge(NamedTuple):
+    """One grouped blow-up step: the chart labels that lead to ``node`` (every
+    x_i != 0 chart of one blow-up leads to the same child, so the labels are
+    the multiplicity) and the blow-up center."""
 
-
-@dataclass
-class TraceEdge:
     stratum: str
     charts: tuple[str, ...]
     node: TraceNode
 
 
-@dataclass
-class ResolutionTrace:
-    """The full rewriting tree grown from one starting chart.
+class TraceNode(NamedTuple):
+    """The single node of a trace for ``chart``.  Its edges point at the shared
+    nodes of the child charts, the a_1 != 0 chart first."""
 
-    Each blow-up contributes two child nodes: the a_1 != 0 chart, and one node
-    shared by the x_i != 0 charts, which are pairwise isomorphic by
-    construction; the edge records every chart label, so the multiplicity is
-    preserved.  Without that grouping the tree repeats identical subtrees an
-    exponential number of times and moderate inputs overflow any node budget.
+    chart: ChartType
+    edges: tuple[TraceEdge, ...]
+
+
+@dataclass(frozen=True)
+class ResolutionTrace:
+    """The rewriting grown from one starting chart, stored as a DAG with one
+    node per distinct chart (hash-consing).
+
+    The rewriting tree records one node per distinct child chart of every
+    blow-up: the a_1 != 0 chart, and one node for the x_i != 0 charts, which
+    are pairwise isomorphic by construction.  That tree repeats identical
+    subtrees many times over, so the trace keeps each chart once and lets
+    every edge point at the shared node of its child; the edge keeps its chart
+    labels, so the multiplicity is preserved.
+
+    ``node_count`` is the size of the tree, not of the DAG: the number of
+    nodes the rewriting would record if every shared subtree were copied
+    out.  ``nodes`` holds each distinct chart once, the root first and every
+    parent before its children.  The iterators yield each distinct node or
+    edge once; since the weight decrease and terminality are properties of a
+    chart and its children, checking them there checks the whole tree.
     """
 
-    root: TraceNode
+    nodes: tuple[TraceNode, ...]
     node_count: int
 
+    @property
+    def root(self) -> TraceNode:
+        return self.nodes[0]
+
     def iter_nodes(self) -> Iterator[TraceNode]:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            for edge in node.edges:
-                stack.append(edge.node)
+        return iter(self.nodes)
 
     def iter_edges(self) -> Iterator[tuple[TraceNode, TraceEdge]]:
-        for node in self.iter_nodes():
+        for node in self.nodes:
             for edge in node.edges:
                 yield node, edge
 
     def leaves(self) -> Iterator[TraceNode]:
-        for node in self.iter_nodes():
+        for node in self.nodes:
             if not node.edges:
                 yield node
 
     def to_json_dict(self) -> dict:
-        def encode(node: TraceNode) -> dict:
-            return {
-                "dbar": list(node.chart.dbar),
-                "s": node.chart.s,
-                "weight": list(node.chart.weight()),
-                "children": [
-                    {
-                        "stratum": edge.stratum,
-                        "charts": list(edge.charts),
-                        "node": encode(edge.node),
-                    }
-                    for edge in node.edges
-                ],
-            }
-
-        return {"node_count": self.node_count, "root": encode(self.root)}
+        """``node_count`` (the tree size), then the distinct charts as ``nodes``
+        (``id`` is the position, the root has id 0) and the grouped blow-up
+        steps as ``edges`` between node ids, ``charts`` giving the multiplicity."""
+        ids = {node.chart: index for index, node in enumerate(self.nodes)}
+        return {
+            "node_count": self.node_count,
+            "nodes": [
+                {
+                    "id": index,
+                    "dbar": list(node.chart.dbar),
+                    "s": node.chart.s,
+                    "weight": list(node.chart.weight()),
+                }
+                for index, node in enumerate(self.nodes)
+            ],
+            "edges": [
+                {
+                    "parent": ids[node.chart],
+                    "child": ids[edge.node.chart],
+                    "stratum": edge.stratum,
+                    "charts": list(edge.charts),
+                }
+                for node, edge in self.iter_edges()
+            ],
+        }
 
     def to_dot(self) -> str:
+        """One box per distinct chart and one arrow per grouped blow-up step,
+        labelled with its charts and its center."""
         lines = ["digraph resolution_trace {", "  node [shape=box];"]
-        ids: dict[int, int] = {}
-        for counter, node in enumerate(self.iter_nodes()):
-            ids[id(node)] = counter
+        ids = {node.chart: index for index, node in enumerate(self.nodes)}
+        for index, node in enumerate(self.nodes):
             dbar = ",".join(map(str, node.chart.dbar))
             weight = node.chart.weight()
             lines.append(
-                f'  n{counter} [label="dbar=({dbar}) s={node.chart.s}\\n'
+                f'  n{index} [label="dbar=({dbar}) s={node.chart.s}\\n'
                 f'w=({weight[0]},{weight[1]})"];'
             )
         for node, edge in self.iter_edges():
             label = ", ".join(edge.charts) + "\\n" + edge.stratum
-            lines.append(f'  n{ids[id(node)]} -> n{ids[id(edge.node)]} [label="{label}"];')
+            lines.append(f'  n{ids[node.chart]} -> n{ids[edge.node.chart]} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -253,31 +276,45 @@ class ResolutionTrace:
 def resolution_trace(chart: ChartType, node_limit: int = 1_000_000) -> ResolutionTrace:
     """Run the rewriting to completion from ``chart``, recording every blow-up.
 
-    Children are expanded until all leaves are terminal; the build fails with
-    ``NodeLimitExceeded`` once more than ``node_limit`` nodes would be recorded,
-    which would signal a termination bug since the weights decrease strictly.
+    Each distinct chart is expanded once, and the trace is assembled in
+    increasing weight, so every child node exists before its parents; the
+    tree size of each chart is memoised on the way.  ``node_limit`` bounds
+    the tree size: the build fails with ``NodeLimitExceeded`` as soon as the
+    distinct charts alone pass it, or a chart's tree would hold more than
+    ``node_limit`` nodes.  Since the weights decrease strictly, the rewriting
+    always ends; the limit bounds the work, not a termination bug.
     """
     if node_limit < 1:
         raise ValueError(f"node_limit must be positive, got {node_limit}")
-    root = TraceNode(chart)
-    count = 1
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.chart.is_terminal:
+
+    def exceeded() -> NodeLimitExceeded:
+        return NodeLimitExceeded(f"resolution trace from {chart} exceeded {node_limit} nodes")
+
+    # each distinct chart with its blow-up center and its children, grouped
+    steps: dict[ChartType, tuple[str, dict[ChartType, list[str]]]] = {}
+    pending = [chart]
+    while pending:
+        current = pending.pop()
+        if current in steps:
             continue
-        grouped: dict[ChartType, list[str]] = {}
-        stratum = ""
-        for edge in chart_children(node.chart):
-            stratum = edge.stratum
-            grouped.setdefault(edge.child, []).append(edge.label)
-        for child, labels in grouped.items():
-            count += 1
-            if count > node_limit:
-                raise NodeLimitExceeded(
-                    f"resolution trace from {chart} exceeded {node_limit} nodes"
-                )
-            child_node = TraceNode(child)
-            node.edges.append(TraceEdge(stratum, tuple(labels), child_node))
-            stack.append(child_node)
-    return ResolutionTrace(root, count)
+        stratum, grouped = "", {}
+        if not current.is_terminal:
+            for edge in chart_children(current):
+                stratum = edge.stratum
+                grouped.setdefault(edge.child, []).append(edge.label)
+        steps[current] = (stratum, grouped)
+        if len(steps) > node_limit:
+            raise exceeded()
+        pending.extend(grouped)
+
+    nodes: dict[ChartType, TraceNode] = {}
+    sizes: dict[ChartType, int] = {}
+    for current in sorted(steps, key=ChartType.weight):
+        stratum, grouped = steps[current]
+        size = 1 + sum(sizes[child] for child in grouped)
+        if size > node_limit:
+            raise exceeded()
+        sizes[current] = size
+        edges = (TraceEdge(stratum, tuple(labels), nodes[child]) for child, labels in grouped.items())
+        nodes[current] = TraceNode(current, tuple(edges))
+    return ResolutionTrace(tuple(reversed(nodes.values())), sizes[chart])

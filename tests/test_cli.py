@@ -116,7 +116,7 @@ class TestPeriods:
 
     def test_work_budget_exceeded_is_a_one_line_error(self, capsys):
         code, out, err = run(capsys, "periods", "--dim", "6", "--degrees", "7", "--order", "7")
-        assert code == 1
+        assert code == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "term products" in err and "Traceback" not in err
@@ -149,8 +149,14 @@ class TestResolveTrace:
         assert code == 0
         payload = json.loads(out)
         assert payload["node_count"] == "7"
-        assert payload["root"]["dbar"] == ["3"]
-        assert payload["root"]["weight"] == ["1", "3"]
+        root = payload["nodes"][0]
+        assert root["id"] == "0"
+        assert root["dbar"] == ["3"]
+        assert root["weight"] == ["1", "3"]
+        assert [e["charts"] for e in payload["edges"] if e["parent"] == "0"] == [
+            ["a1 != 0"],
+            ["x1 != 0"],
+        ]
 
     def test_dot_output(self, capsys):
         code, out, _ = run(
@@ -164,8 +170,18 @@ class TestResolveTrace:
         code, _, err = run(
             capsys, "resolve-trace", "--dbar", "6,6", "--s", "4", "--node-limit", "10"
         )
-        assert code == 1
+        assert code == 3
         assert "exceeded" in err
+
+    def test_node_limit_counts_tree_nodes(self, capsys):
+        # 679 distinct charts, but 7,231 tree nodes: a budget of 900 must not suffice
+        code, out, err = run(
+            capsys, "resolve-trace", "--dbar", "6,6,6", "--s", "6", "--node-limit", "900"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exceeded 900 nodes" in err and "Traceback" not in err
 
     def test_invalid_chart(self, capsys):
         code, _, err = run(capsys, "resolve-trace", "--dbar", "0,2", "--s", "1")
@@ -198,6 +214,18 @@ class TestSweep:
         assert code == 0
         rows = out.strip().splitlines()[1:]
         assert rows and all(row.endswith(",true") for row in rows)
+
+
+class TestUnexpectedErrors:
+    def test_any_other_exception_is_a_one_line_error(self, capsys, monkeypatch):
+        def crash(ci):
+            raise RuntimeError("injected\nacross lines")
+
+        monkeypatch.setattr("fanolg.cli.hodge_h1", crash)
+        code, out, err = run(capsys, "hodge", "--dim", "3", "--degrees", "3")
+        assert code == 4
+        assert out == ""
+        assert err == "error: internal error (RuntimeError): injected across lines\n"
 
 
 class TestArgumentErrors:

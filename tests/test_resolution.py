@@ -5,6 +5,8 @@ from itertools import product
 from math import ceil, comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanolg import (
     ChartType,
@@ -17,6 +19,20 @@ from fanolg import (
     g_rec,
     resolution_trace,
 )
+
+
+def unshared_tree(chart: ChartType) -> tuple[int, set[ChartType]]:
+    """Oracle: the rewriting tree by plain recursion over ``chart_children``,
+    every subtree expanded anew.  One node per chart, plus one subtree per
+    distinct child chart of its blow-up (the x_i != 0 charts share one);
+    returns the node count and the set of charts met."""
+    count, charts = 1, {chart}
+    if not chart.is_terminal:
+        for child in {edge.child for edge in chart_children(chart)}:
+            sub_count, sub_charts = unshared_tree(child)
+            count += sub_count
+            charts |= sub_charts
+    return count, charts
 
 
 class TestCountingFunctions:
@@ -190,20 +206,76 @@ class TestResolutionTrace:
     def test_terminal_root(self):
         trace = resolution_trace(ChartType((3, 2), 0))
         assert trace.node_count == 1
-        assert trace.root.edges == []
+        assert trace.root.edges == ()
+        assert list(trace.iter_nodes()) == [trace.root]
+
+    def test_node_limit_counts_tree_nodes(self):
+        # 679 distinct charts unfold to a tree of 7,231 nodes; the budget is on the tree
+        chart = ChartType((6, 6, 6), 6)
+        trace = resolution_trace(chart, node_limit=7231)
+        assert trace.node_count == 7231
+        assert len(trace.nodes) == 679
+        for limit in (7230, 900):
+            with pytest.raises(NodeLimitExceeded):
+                resolution_trace(chart, node_limit=limit)
+
+    def test_each_chart_is_one_shared_node(self):
+        trace = resolution_trace(ChartType((8, 8, 8), 8))
+        assert trace.node_count == 93747
+        assert len({node.chart for node in trace.iter_nodes()}) == len(trace.nodes) == 4637
+        nodes = {node.chart: node for node in trace.iter_nodes()}
+        assert all(edge.node is nodes[edge.node.chart] for _, edge in trace.iter_edges())
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dbar=st.lists(st.integers(1, 6), max_size=3).map(tuple),
+        s=st.integers(0, 6),
+    )
+    def test_property_dag_unfolds_to_the_tree(self, dbar, s):
+        chart = ChartType(dbar, s)
+        trace = resolution_trace(chart)
+        count, charts = unshared_tree(chart)
+        assert trace.node_count == count
+        assert trace.root.chart == chart
+        assert {node.chart for node in trace.iter_nodes()} == charts
+        assert len(trace.nodes) == len(charts)
+        for parent, edge in trace.iter_edges():
+            steps = chart_children(parent.chart)
+            assert edge.charts == tuple(e.label for e in steps if e.child == edge.node.chart)
+            assert edge.stratum == steps[0].stratum
+            assert edge.node.chart.weight() < parent.chart.weight()
+        for node in trace.iter_nodes():
+            if not node.chart.is_terminal:
+                # one edge per distinct child, the a1 != 0 chart first
+                children = [edge.node.chart for edge in node.edges]
+                assert children == list(dict.fromkeys(e.child for e in chart_children(node.chart)))
+        assert all(leaf.chart.is_terminal for leaf in trace.leaves())
 
 
 class TestTraceSerialization:
     def test_json_shape(self):
         trace = resolution_trace(ChartType((3,), 1))
         payload = trace.to_json_dict()
-        assert payload["node_count"] == trace.node_count
-        root = payload["root"]
+        assert payload["node_count"] == trace.node_count == 7
+        nodes, edges = payload["nodes"], payload["edges"]
+        assert [node["id"] for node in nodes] == list(range(len(trace.nodes)))
+        root = nodes[0]
         assert root["dbar"] == [3]
         assert root["s"] == 1
         assert root["weight"] == [1, 3]
-        assert {c["stratum"] for c in root["children"]} == {"a1 = x1 = 0"}
+        root_edges = [edge for edge in edges if edge["parent"] == 0]
+        assert {edge["stratum"] for edge in root_edges} == {"a1 = x1 = 0"}
+        assert [edge["charts"] for edge in root_edges] == [["a1 != 0"], ["x1 != 0"]]
+        assert [nodes[edge["child"]]["dbar"] for edge in root_edges] == [[2], [3, 2]]
         json.dumps(payload)  # must be serializable as-is
+
+    def test_json_lists_each_chart_once(self):
+        trace = resolution_trace(ChartType((6, 6, 6), 6))
+        payload = trace.to_json_dict()
+        charts = [(tuple(node["dbar"]), node["s"]) for node in payload["nodes"]]
+        assert len(charts) == len(set(charts)) == 679
+        assert len(payload["edges"]) == sum(1 for _ in trace.iter_edges())
+        assert payload["node_count"] == 7231
 
     def test_dot_output(self):
         dot = resolution_trace(ChartType((2,), 2)).to_dot()
@@ -211,3 +283,9 @@ class TestTraceSerialization:
         assert dot.rstrip().endswith("}")
         assert "->" in dot
         assert 'label="dbar=(2) s=2' in dot
+
+    def test_dot_has_one_box_per_distinct_chart(self):
+        trace = resolution_trace(ChartType((6, 6, 6), 6))
+        dot = trace.to_dot()
+        assert dot.count("[label=\"dbar=") == len(trace.nodes) == 679
+        assert dot.count(" -> ") == sum(1 for _ in trace.iter_edges())
