@@ -8,7 +8,7 @@ checks the period condition of the mirror Laurent polynomial by exact series
 expansion.  All arithmetic is exact integer arithmetic.
 """
 
-from .exactmath import binomial, convolution_identity_sides, multinomial
+from .exactmath import binomial, capped_vectors, convolution_identity_sides, multinomial
 from .givental import (
     LaurentPolynomial,
     PeriodReport,
@@ -65,6 +65,7 @@ __all__ = [
     "fano_sweep",
     "binomial",
     "multinomial",
+    "capped_vectors",
     "convolution_identity_sides",
     "poly_space_dim",
     "delta_j",

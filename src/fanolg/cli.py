@@ -258,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("klg", help="central-fiber component count of the mirror model")
     add_ci_flags(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--strata", action="store_true", help="include the per-stratum breakdown")
+    p.add_argument("--strata", action="store_true", help="list each stratum that carries divisors")
     p.set_defaults(run=_cmd_klg)
 
     p = sub.add_parser("verify", help="check h^{1,N-1} against k_LG (exit 1 on failure)")

@@ -7,7 +7,29 @@ overflows, or touches floating point.
 from __future__ import annotations
 
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
+
+
+def capped_vectors(
+    caps: Sequence[int], bound: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every pair (ivec, sum(ivec)) with 0 <= ivec[t] <= caps[t] and
+    sum(ivec) <= bound, in the order of ``itertools.product``.
+
+    Vectors grow one entry at a time from their prefixes, and a prefix is
+    extended only by entries that keep its sum within the bound.  Every kept
+    prefix reaches at least one vector (pad it with zeros), so no vector is
+    built only to be filtered out.  A negative bound yields nothing; empty caps
+    yield the empty vector alone.
+    """
+    level: list[tuple[tuple[int, ...], int]] = [((), 0)] if bound >= 0 else []
+    for cap in caps:
+        level = [
+            (ivec + (i,), s + i)
+            for ivec, s in level
+            for i in range(min(cap, bound - s) + 1)
+        ]
+    yield from level
 
 
 def binomial(n: int, k: int) -> int:

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import factorial
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from .exactmath import multinomial
+from .exactmath import capped_vectors, multinomial
 from .varieties import CompleteIntersection
 
 
@@ -100,16 +100,6 @@ class PeriodReport:
     i0: PowerSeries
 
 
-def _bounded_compositions(limit: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers with sum at most `limit`."""
-    if parts == 0:
-        yield ()
-        return
-    for first in range(limit + 1):
-        for rest in _bounded_compositions(limit - first, parts - 1):
-            yield (first,) + rest
-
-
 def build_fx(ci: CompleteIntersection) -> LaurentPolynomial:
     """The mirror Laurent polynomial of ``ci`` in exactly ``ci.dim`` variables,
     ordered block by block: x_{1,1}..x_{1,d_1-1}, ..., x_{k,1}..x_{k,d_k-1},
@@ -130,7 +120,7 @@ def build_fx(ci: CompleteIntersection) -> LaurentPolynomial:
     for d in ci.degrees:
         block = [
             (exponents, multinomial(d, exponents))
-            for exponents in _bounded_compositions(d, d - 1)
+            for exponents, _ in capped_vectors([d] * (d - 1), d)
         ]
         blocks.append(block)
 

@@ -9,9 +9,8 @@ formula, a nested binomial sum, and direct monomial enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .exactmath import binomial
+from .exactmath import binomial, capped_vectors
 from .varieties import CompleteIntersection
 
 
@@ -74,17 +73,15 @@ def count_monomials_oracle(ci: CompleteIntersection) -> int:
     For each j the basis monomials carry total degree d_j - index across the
     ambient variables, with the first k exponents capped at d_t - 1.  The k
     capped exponents are enumerated explicitly; the dim + 1 free ones are
-    counted by stars and bars, which keeps the enumeration polynomial.
+    counted by stars and bars, which keeps the enumeration polynomial.  Only
+    heads of total at most the target degree are enumerated.
     """
+    caps = [d - 1 for d in ci.degrees]
     total = 0
     for j in range(1, ci.k + 1):
         target = ci.degrees[j - 1] - ci.index
-        if target < 0:
-            continue
-        for head in product(*[range(d) for d in ci.degrees]):
-            remaining = target - sum(head)
-            if remaining >= 0:
-                total += poly_space_dim(remaining, ci.dim + 1)
+        for _, s in capped_vectors(caps, target):
+            total += poly_space_dim(target - s, ci.dim + 1)
     return total
 
 
@@ -111,15 +108,20 @@ def alt_dim_formula(ci: CompleteIntersection) -> int:
     monomial whose t-th exponent reaches d_t is zero in the quotient, and for
     k >= 2 the excluded slices contribute nonzero binomials whenever some
     d_j >= d_t + index, so extending the range would overcount.
+
+    With D = sum_t d_t, the binomial is C(D - |i| + d_j - k - 1, dim), which
+    vanishes once |i| > D + d_j - k - 1 - dim, so only vectors within that bound
+    are enumerated; on them the top is at least dim >= 2, so ``binomial`` never
+    sees a negative argument.
     """
     k = ci.k
+    caps = [d - 1 for d in ci.degrees]
+    top_at_zero = sum(ci.degrees) - k - 1
     total = 0
-    ranges = [range(d) for d in ci.degrees]
-    for j in range(1, k + 1):
-        dj = ci.degrees[j - 1]
-        for ivec in product(*ranges):
-            top = sum(d - i for d, i in zip(ci.degrees, ivec)) + dj - k - 1
-            total += binomial(top, ci.dim)
+    for dj in ci.degrees:
+        top = top_at_zero + dj
+        for _, s in capped_vectors(caps, top - ci.dim):
+            total += binomial(top - s, ci.dim)
     return total - _index_one_correction(ci)
 
 

@@ -10,12 +10,11 @@ main comparison checks against the Hodge number h^{1,N-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Literal, NamedTuple
 
-from .exactmath import binomial
-from .jacobian_ring import hodge_h1
-from .resolution import g_closed, g_rec
+from .exactmath import binomial, capped_vectors
+from .jacobian_ring import dim_R_1, hodge_h1
+from .resolution import g_closed
 from .varieties import CompleteIntersection
 
 
@@ -25,7 +24,9 @@ class StratumLabel:
     counts (i_1, ..., i_k) of vanishing coordinates chosen in each block.
 
     Admissible labels satisfy i_t <= d_t - 1 for t != j and i_j <= d_j - 2; when
-    the index of the variety is 1 the all-zero count vector is excluded.
+    the index of the variety is 1 the all-zero count vector is excluded.  A label
+    carries exceptional divisors only when i_1 + ... + i_k <= d_j - 1 - l, and
+    ``enumerate_strata`` lists only those.
     """
 
     j: int
@@ -45,7 +46,8 @@ class KlgReport:
     The central fiber is the only fiber of the compactified family that can be
     reducible, so its component count is always ``k_lg + 1``.  ``branch`` records
     which summation rule applied (the index-1 case counts the strict transforms
-    of an already reducible fiber separately).
+    of an already reducible fiber separately).  ``contributions`` lists the
+    strata that carry divisors, as ``enumerate_strata`` returns them.
     """
 
     k_lg: int
@@ -62,47 +64,47 @@ class TheoremReport:
     k_lg: int
 
 
-def enumerate_strata(
-    ci: CompleteIntersection, *, use_recursion: bool = False
-) -> list[StratumContribution]:
-    """All canonical strata of the compactified model with their contributions.
+def enumerate_strata(ci: CompleteIntersection) -> list[StratumContribution]:
+    """The canonical strata of the compactified model that carry exceptional
+    divisors, with their contributions.
 
     A label (j, i_1..i_k) stands for the strata obtained by choosing which
     coordinates vanish, so it carries multiplicity prod_t C(d_t, i_t); each such
     stratum contributes G(d_j, i_1 + ... + i_k + l) exceptional divisors, where
     l = index - 1 counts the extra coordinates that always vanish on a center.
-    Strata contributing zero divisors are listed too.  ``use_recursion``
-    switches the divisor count from the closed form to the mutual recursion.
+    G(d, s) = C(d - 1, s) vanishes once s >= d, so only labels with
+    i_1 + ... + i_k <= d_j - 1 - l are enumerated, and every listed stratum
+    carries at least one divisor.  Labels come in ``itertools.product`` order
+    for each j in turn.
     """
-    g = g_rec if use_recursion else g_closed
     out: list[StratumContribution] = []
     l = ci.l
+    rows = [[binomial(d, i) for i in range(d)] for d in ci.degrees]
     for j in range(1, ci.k + 1):
-        ranges = [
-            range(d - 1) if t + 1 == j else range(d)
-            for t, d in enumerate(ci.degrees)
-        ]
-        for ivec in product(*ranges):
-            if l == 0 and sum(ivec) == 0:
+        dj = ci.degrees[j - 1]
+        caps = [d - 2 if t + 1 == j else d - 1 for t, d in enumerate(ci.degrees)]
+        bound = dj - 1 - l
+        g_row = [g_closed(dj, s + l) for s in range(bound + 1)]
+        for ivec, s in capped_vectors(caps, bound):
+            if l == 0 and s == 0:
                 continue
             multiplicity = 1
-            for d, i in zip(ci.degrees, ivec):
-                multiplicity *= binomial(d, i)
-            divisors = g(ci.degrees[j - 1], sum(ivec) + l)
+            for row, i in zip(rows, ivec):
+                multiplicity *= row[i]
             out.append(
-                StratumContribution(StratumLabel(j, ivec), multiplicity, divisors)
+                StratumContribution(StratumLabel(j, ivec), multiplicity, g_row[s])
             )
     return out
 
 
-def k_lg(ci: CompleteIntersection, *, use_recursion: bool = False) -> KlgReport:
+def k_lg(ci: CompleteIntersection) -> KlgReport:
     """Number of central-fiber components of the compactified mirror, minus one.
 
     For index >= 2 the uncompactified central fiber is irreducible and k_lg is
     exactly the stratum sum; at index 1 the central fiber already splits into k
     components before resolving, adding k - 1.
     """
-    contributions = enumerate_strata(ci, use_recursion=use_recursion)
+    contributions = enumerate_strata(ci)
     total = sum(c.multiplicity * c.divisors for c in contributions)
     if ci.l >= 1:
         value = total
@@ -125,18 +127,14 @@ def k_lg_closed(ci: CompleteIntersection) -> int:
             (-1)^(k - |I|) * C(sum_I d + d_j - 1, dim + k),
 
     taken as is for index >= 2, and shifted by -(dim + 2k) + k - 1 at index 1
-    (removing the empty strata and adding the strict-transform components)."""
-    k = ci.k
-    double_sum = 0
-    for j in range(1, k + 1):
-        dj = ci.degrees[j - 1]
-        for mask in range(1 << k):
-            subset_sum = sum(d for t, d in enumerate(ci.degrees) if mask >> t & 1)
-            size = bin(mask).count("1")
-            double_sum += (-1) ** (k - size) * binomial(subset_sum + dj - 1, ci.dim + k)
-    if ci.l >= 1:
-        return double_sum
-    return (-(ci.dim + 2 * k) + double_sum) + k - 1
+    (removing the empty strata and adding the strict-transform components).
+
+    The double sum is ``dim_R_prime_1`` (its inner sum is ``delta_j``) and the
+    shift is -(dim + k + 1), the index-1 correction, so this is the same count
+    as ``dim_R_1`` on every input and is evaluated by it.  Comparing it with
+    ``k_lg`` re-checks ``h_pr == k_lg``; it is not an independent route.
+    """
+    return dim_R_1(ci)
 
 
 def verify_main_theorem(ci: CompleteIntersection) -> TheoremReport:

@@ -4,8 +4,10 @@ from itertools import permutations, product
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fanolg import binomial, convolution_identity_sides, multinomial
+from fanolg import binomial, capped_vectors, convolution_identity_sides, multinomial
 
 
 def naive_lhs(dbar, e, l):
@@ -18,6 +20,38 @@ def naive_lhs(dbar, e, l):
             term *= binomial(d, i)
         total += term
     return total
+
+
+def filtered_product(caps, bound):
+    """The full product of the ranges 0..caps[t], filtered by the sum: the
+    reference for ``capped_vectors``."""
+    vectors = product(*[range(c + 1) for c in caps])
+    return [(ivec, sum(ivec)) for ivec in vectors if sum(ivec) <= bound]
+
+
+class TestCappedVectors:
+    def test_small_example_in_product_order(self):
+        assert list(capped_vectors([2, 1], 2)) == [
+            ((0, 0), 0),
+            ((0, 1), 1),
+            ((1, 0), 1),
+            ((1, 1), 2),
+            ((2, 0), 2),
+        ]
+
+    def test_empty_caps(self):
+        assert list(capped_vectors([], 0)) == [((), 0)]
+        assert list(capped_vectors([], 5)) == [((), 0)]
+        assert list(capped_vectors([], -1)) == []
+
+    def test_bound_below_zero(self):
+        assert list(capped_vectors([3, 3], -1)) == []
+        assert list(capped_vectors([0], -4)) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 6), max_size=5), st.integers(-3, 20))
+    def test_property_equals_filtered_product(self, caps, bound):
+        assert list(capped_vectors(caps, bound)) == filtered_product(caps, bound)
 
 
 class TestBinomial:

@@ -1,12 +1,15 @@
 """Tests for the Hodge-number computation and its three agreeing routes."""
 
+from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
 
 from fanolg import (
     CompleteIntersection,
     alt_dim_formula,
+    binomial,
     count_monomials_oracle,
     delta_j,
     dim_R_1,
@@ -16,6 +19,7 @@ from fanolg import (
     hypersurface_corollary,
     poly_space_dim,
 )
+from strategies import fano_complete_intersections
 
 CUBIC_SURFACE = CompleteIntersection(2, (3,))
 CUBIC_THREEFOLD = CompleteIntersection(3, (3,))
@@ -42,6 +46,34 @@ def brute_force_monomial_count(ci):
         if target >= 0:
             total += count(0, target)
     return total
+
+
+def unpruned_monomial_count(ci):
+    """``count_monomials_oracle`` over the full product of the head ranges,
+    skipping heads past the target degree: the reference for its bounded
+    enumeration."""
+    total = 0
+    for j in range(1, ci.k + 1):
+        target = ci.degrees[j - 1] - ci.index
+        if target < 0:
+            continue
+        for head in product(*[range(d) for d in ci.degrees]):
+            remaining = target - sum(head)
+            if remaining >= 0:
+                total += poly_space_dim(remaining, ci.dim + 1)
+    return total
+
+
+def unpruned_alt_dim_formula(ci):
+    """``alt_dim_formula`` summed over the full product of the ranges
+    0 <= i_t <= d_t - 1, vanishing binomials included: the reference for its
+    bounded enumeration."""
+    total = 0
+    for dj in ci.degrees:
+        for ivec in product(*[range(d) for d in ci.degrees]):
+            top = sum(d - i for d, i in zip(ci.degrees, ivec)) + dj - ci.k - 1
+            total += binomial(top, ci.dim)
+    return total - (ci.dim + ci.k + 1 if ci.index == 1 else 0)
 
 
 class TestCompleteIntersection:
@@ -137,6 +169,11 @@ class TestRingDimensions:
     def test_oracle_when_index_exceeds_all_degrees(self):
         assert count_monomials_oracle(QUADRIC_THREEFOLD) == 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(fano_complete_intersections())
+    def test_property_oracle_equals_unpruned_count(self, ci):
+        assert count_monomials_oracle(ci) == unpruned_monomial_count(ci)
+
     def test_nonnegative_on_sweep(self):
         for ci in fano_sweep(6, 2, 5):
             assert dim_R_prime_1(ci) >= 0
@@ -159,6 +196,11 @@ class TestAltDimFormula:
         # spurious units here; the capped formula agrees with the true dimension
         ci = CompleteIntersection(4, (2, 4))
         assert alt_dim_formula(ci) == dim_R_1(ci) == 77
+
+    @settings(max_examples=200, deadline=None)
+    @given(fano_complete_intersections())
+    def test_property_equals_unpruned_sum(self, ci):
+        assert alt_dim_formula(ci) == unpruned_alt_dim_formula(ci)
 
 
 class TestHodge:

@@ -1,23 +1,49 @@
 """Tests for the stratum enumeration, k_LG, and the Hodge-number comparison."""
 
+from itertools import product
 from math import comb
+
+from hypothesis import given, settings
 
 from fanolg import (
     CompleteIntersection,
+    StratumContribution,
     StratumLabel,
+    binomial,
     dim_R_1,
     enumerate_strata,
     fano_sweep,
+    g_rec,
     hodge_h1,
     k_lg,
     k_lg_closed,
     verify_main_theorem,
 )
+from strategies import fano_complete_intersections
 
 CUBIC_SURFACE = CompleteIntersection(2, (3,))
 CUBIC_THREEFOLD = CompleteIntersection(3, (3,))
 CUBIC_FOURFOLD = CompleteIntersection(4, (3,))
 QUARTIC_THREEFOLD = CompleteIntersection(3, (4,))
+
+
+def unpruned_strata(ci):
+    """Every admissible label over the full product of its ranges, zero
+    contributions included, with divisors from the recursion ``g_rec``: an
+    oracle for the bounded enumeration that shares neither its bound nor the
+    closed form of G."""
+    out = []
+    for j in range(1, ci.k + 1):
+        ranges = [range(d - 1) if t + 1 == j else range(d) for t, d in enumerate(ci.degrees)]
+        for ivec in product(*ranges):
+            if ci.l == 0 and sum(ivec) == 0:
+                continue
+            multiplicity = 1
+            for d, i in zip(ci.degrees, ivec):
+                multiplicity *= binomial(d, i)
+            divisors = g_rec(ci.degrees[j - 1], sum(ivec) + ci.l)
+            out.append(StratumContribution(StratumLabel(j, ivec), multiplicity, divisors))
+    return out
 
 
 class TestEnumerateStrata:
@@ -34,12 +60,10 @@ class TestEnumerateStrata:
         }
         assert sum(c.multiplicity * c.divisors for c in strata) == 5
 
-    def test_cubic_fourfold_keeps_zero_contributions(self):
+    def test_cubic_fourfold_lists_only_contributing_strata(self):
+        # the label (1,) has G(3, 1 + 1) = 0 divisors and is not listed
         strata = enumerate_strata(CUBIC_FOURFOLD)
-        assert {(c.label.ivec, c.multiplicity, c.divisors) for c in strata} == {
-            ((0,), 1, 1),
-            ((1,), 3, 0),
-        }
+        assert [(c.label.ivec, c.multiplicity, c.divisors) for c in strata] == [((0,), 1, 1)]
 
     def test_label_bounds(self):
         ci = CompleteIntersection(4, (2, 4))
@@ -52,7 +76,15 @@ class TestEnumerateStrata:
 
     def test_recursion_route_agrees(self):
         for ci in fano_sweep(6, 2, 4):
-            assert enumerate_strata(ci) == enumerate_strata(ci, use_recursion=True)
+            expected = [c for c in unpruned_strata(ci) if c.divisors != 0]
+            assert enumerate_strata(ci) == expected, ci
+
+    @settings(max_examples=200, deadline=None)
+    @given(fano_complete_intersections())
+    def test_property_equals_unpruned_strata_with_divisors(self, ci):
+        expected = [c for c in unpruned_strata(ci) if c.divisors != 0]
+        assert enumerate_strata(ci) == expected
+        assert all(c.divisors > 0 for c in expected)
 
 
 class TestKlg:
