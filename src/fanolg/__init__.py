@@ -46,6 +46,7 @@ from .resolution import (
     ChartType,
     NodeLimitExceeded,
     ResolutionTrace,
+    SummandLimitExceeded,
     TraceEdge,
     TraceNode,
     chart_children,
@@ -91,6 +92,7 @@ __all__ = [
     "TraceEdge",
     "ResolutionTrace",
     "NodeLimitExceeded",
+    "SummandLimitExceeded",
     "f_rec",
     "g_rec",
     "f_closed",

@@ -15,12 +15,13 @@ import json
 import sys
 from typing import Sequence
 
-from .givental import TermLimitExceeded, verify_period
+from .givental import DEFAULT_MAX_PRODUCTS, TermLimitExceeded, verify_period
 from .jacobian_ring import hodge_h1
 from .lg_count import k_lg, verify_main_theorem
 from .resolution import (
     ChartType,
     NodeLimitExceeded,
+    SummandLimitExceeded,
     f_closed,
     f_rec,
     g_closed,
@@ -152,7 +153,7 @@ def _cmd_periods(args: argparse.Namespace) -> int:
     order = args.order if args.order is not None else 3 * ci.index
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    report = verify_period(ci, order)
+    report = verify_period(ci, order, args.max_products)
     if args.format == "json":
         _emit_json(
             {
@@ -271,6 +272,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--order", type=int, default=None, help="truncation order (default: 3 * index)"
     )
+    p.add_argument(
+        "--max-products",
+        type=int,
+        default=DEFAULT_MAX_PRODUCTS,
+        help="budget on the term products of the constant-term expansion",
+    )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(run=_cmd_periods)
 
@@ -309,7 +316,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (NodeLimitExceeded, TermLimitExceeded) as exc:
+    except (NodeLimitExceeded, TermLimitExceeded, SummandLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -11,8 +11,9 @@ reproduce, coefficient by coefficient, the regularized hypergeometric series
 
     sum_{d >= 0} (d*index)! * (d*d_1)! * ... * (d*d_k)! / (d!)^(N+k+1) * t^(d*index).
 
-The expansion side is computed generically (iterated sparse multiplication);
-the closed-form side from factorials.  Agreement is reported, never repaired.
+The expansion side is computed generically (sparse multiplication up to half
+the order, then dot products of the two halves); the closed-form side from
+factorials.  Agreement is reported, never repaired.
 """
 
 from __future__ import annotations
@@ -148,34 +149,43 @@ class TermLimitExceeded(RuntimeError):
 def _constant_terms(
     f: LaurentPolynomial, order: int, max_products: int = DEFAULT_MAX_PRODUCTS
 ) -> list[int]:
-    """Constant terms of f^0, f^1, ..., f^order by iterated sparse multiplication.
+    """Constant terms of f^0, f^1, ..., f^order, from the powers of f up to
+    ceil(order/2) alone.
+
+    Two halves: splitting n = a + b with a = ceil(n/2) and b = floor(n/2),
+
+        CT(f^n) = sum_e [f^a]_e * [f^b]_{-e},
+
+    so with P[h] the (pruned) h-th power, CT(f^(2h-1)) = P[h] . P[h-1] and
+    CT(f^(2h)) = P[h] . P[h].  The powers P[1], ..., P[ceil(order/2)] are formed
+    by iterated sparse multiplication, and only two of them are held at a time.
 
     Box: with lo[v] and hi[v] the extremes of f's support in variable v, every
     exponent of every power f^m with m <= order lies in the box
     [min(0, order*lo[v]), max(0, order*hi[v])], variable by variable.
 
-    Packing: the box widths serve as a mixed radix.  An accumulator monomial e
-    is keyed by the integer sum_v (e[v] - min(0, order*lo[v])) * stride[v], with
+    Packing: the box widths serve as a mixed radix.  A monomial e of a power is
+    keyed by the integer sum_v (e[v] - min(0, order*lo[v])) * stride[v], with
     stride[v] the product of the widths of the variables before v; a term of f
     is keyed without the bias, as the signed offset sum_v e[v] * stride[v].  The
     sum of the two keys is then exactly the key of the product monomial, and
     the packing is injective on the box, so a multiplication adds integers.
+    With ``zero`` the key of the zero vector, the key of -e is 2*zero - key(e).
 
-    Pruning: after each multiplication, monomials that can no longer reach
-    exponent zero with the remaining r factors are discarded, keeping e only if
-    -r*hi[v] <= e[v] <= -r*lo[v] for every v.  The test on v reads digit v of
-    the key, and is skipped when the window holds every exponent that m factors
-    can reach.  The window uses the extremes of f's support, so the pruning
-    never alters a retained coefficient.
+    Pruning: after forming P[m], monomials that can no longer reach exponent
+    zero with the remaining r = order - m factors are discarded, keeping e only
+    if -r*hi[v] <= e[v] <= -r*lo[v] for every v.  The test on v reads digit v
+    of the key, and is skipped when the window holds every exponent that m
+    factors can reach.  The window uses the extremes of f's support, so the
+    pruning never alters a retained coefficient.  Both dot products stay exact:
+    a pair e, -e from the supports of f^a and f^b (a + b <= order) lies in the
+    windows of both powers.  Every retained e lies in its window, so -e lies in
+    the box and its key is the one above.
 
-    Last power: the constant term of f^order is the dot product
-    sum_e acc[e] * f[-e] over the pruned accumulator of f^(order-1).  It is
-    exact, since pruning dropped only monomials that cannot reach zero, and it
-    avoids forming the full product.
-
-    Budget: before each multiplication, len(acc) * len(f.terms) term products
-    are added to a running total (len(acc) for the dot product), and
-    ``TermLimitExceeded`` is raised if the total would pass ``max_products``.
+    Budget: before each multiplication len(P[m-1]) * len(f.terms) term products,
+    and before each dot product the length of the smaller of its two powers,
+    are added to a running total; ``TermLimitExceeded`` is raised, before the
+    work is done, if the total would pass ``max_products``.
     """
     out = [1]
     if order == 0:
@@ -190,29 +200,36 @@ def _constant_terms(
     for v in range(arity):
         strides.append(strides[v] * (max(0, order * hi[v]) - bias[v] + 1))
     zero = -sum(b * s for b, s in zip(bias, strides))
-    terms = {sum(x * s for x, s in zip(e, strides)): c for e, c in f.terms.items()}
-    items = list(terms.items())
+    twice_zero = 2 * zero
+    items = [(sum(x * s for x, s in zip(e, strides)), c) for e, c in f.terms.items()]
 
-    acc = {zero: 1}
     products = 0
-    for m in range(1, order + 1):
-        last = m == order
-        products += len(acc) if last else len(acc) * len(items)
+
+    def charge(work: int, power: int) -> None:
+        nonlocal products
+        products += work
         if products > max_products:
             raise TermLimitExceeded(
                 f"constant-term expansion to order {order} would form more than"
-                f" {max_products:,} term products by power {m}"
+                f" {max_products:,} term products by power {power}"
             )
-        if last:
-            out.append(sum(c * terms.get(zero - k, 0) for k, c in acc.items()))
-            break
+
+    def dot(p: dict[int, int], q: dict[int, int], n: int) -> int:
+        if len(q) < len(p):
+            p, q = q, p
+        charge(len(p), n)
+        get = q.get
+        return sum(c * get(twice_zero - k, 0) for k, c in p.items())
+
+    prev = {zero: 1}
+    for m in range(1, (order + 1) // 2 + 1):
+        charge(len(prev) * len(items), m)
         nxt: dict[int, int] = {}
         get = nxt.get
-        for k1, c1 in acc.items():
+        for k1, c1 in prev.items():
             for k2, c2 in items:
                 k = k1 + k2
                 nxt[k] = get(k, 0) + c1 * c2
-        out.append(get(zero, 0))
         remaining = order - m
         keys = [k for k, c in nxt.items() if c]
         for v in range(arity):
@@ -223,7 +240,11 @@ def _constant_terms(
             s, w = strides[v], strides[v + 1]
             a, b = (low - bias[v]) * s, (high - bias[v] + 1) * s
             keys = [k for k in keys if a <= k % w < b]
-        acc = {k: nxt[k] for k in keys}
+        cur = {k: nxt[k] for k in keys}
+        out.append(dot(cur, prev, 2 * m - 1))
+        if 2 * m <= order:
+            out.append(dot(cur, cur, 2 * m))
+        prev = cur
     return out
 
 
@@ -244,6 +265,8 @@ def phi_series(
     """
     if order < 0:
         raise ValueError(f"truncation order must be >= 0, got {order}")
+    if max_products < 0:
+        raise ValueError(f"max_products must be >= 0, got {max_products}")
     return PowerSeries(order, tuple(_constant_terms(f, order, max_products)))
 
 

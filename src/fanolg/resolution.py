@@ -11,7 +11,7 @@ whose lexicographically decreasing weight proves termination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .exactmath import binomial
@@ -21,6 +21,15 @@ class NodeLimitExceeded(RuntimeError):
     """Raised when a resolution trace would grow past its node budget."""
 
 
+class SummandLimitExceeded(RuntimeError):
+    """Raised when the recursion for F would add more summands than its budget."""
+
+
+# Summands the recursion for F may add in one evaluation: (300, 300) needs
+# about 0.8M, (400, 400) about 1.9M.
+MAX_RECURSION_SUMMANDS = 1_000_000
+
+
 # ---------------------------------------------------------------------------
 # counting functions
 
@@ -28,10 +37,15 @@ class NodeLimitExceeded(RuntimeError):
 def f_rec(d: int, s: int) -> int:
     """Number of irreducible components over lambda = 0 in a crepant resolution
     of a^d = lambda * x_1 * ... * x_s (exceptional divisors plus the strict
-    transform of the central fiber), by the mutual recursion with ``g_rec``.
+    transform of the central fiber), by the mutual recursion with ``g_rec``:
+
+        F(d, s) = sum_{i=0}^{s} C(s, i) * G(d, i),   G(d, i) = F(d - i, i).
 
     Conventions: 0 whenever d <= 0, and 1 when s = 0 (the hypersurface is
-    already smooth, its central fiber irreducible).
+    already smooth, its central fiber irreducible).  The recursion is evaluated
+    without Python recursion (see ``_f_positive``), and raises
+    ``SummandLimitExceeded`` when it would add more than
+    ``MAX_RECURSION_SUMMANDS`` summands.
     """
     if s < 0:
         raise ValueError(f"f_rec requires s >= 0, got s={s}")
@@ -40,12 +54,44 @@ def f_rec(d: int, s: int) -> int:
     return _f_positive(d, s)
 
 
-@cache
+@lru_cache(maxsize=1024)
 def _f_positive(d: int, s: int) -> int:
+    """F(d, s) for d >= 1, bottom-up over the states the recursion reaches.
+
+    The state (d', s') needs G(d', i) = F(d' - i, i) for 1 <= i <= s', and only
+    for i < d', since F vanishes at d' - i <= 0; G(d', 0) = 1.  A first pass
+    walks the levels d' from d down to 1 and collects the reachable s' of each
+    level (the children of a level are those of its largest s'), counting one
+    summand per term before any arithmetic; a second pass evaluates the states
+    in increasing d', so every child is known before its parents.
+    """
     if s == 0:
         return 1
-    # one summand per choice of which x-variables vanish at the blow-up center
-    return sum(binomial(s, i) * g_rec(d, i) for i in range(s + 1))
+    reach: dict[int, set[int]] = {d: {s}}
+    levels: list[tuple[int, set[int]]] = []
+    summands = 0
+    for level in range(d, 0, -1):
+        states = reach.pop(level)  # every level is reached, by steps of i = 1
+        summands += sum(min(t, level - 1) + 1 for t in states)
+        if summands > MAX_RECURSION_SUMMANDS:
+            raise SummandLimitExceeded(
+                f"the recursion for F({d},{s}) would add more than"
+                f" {MAX_RECURSION_SUMMANDS:,} summands"
+            )
+        for i in range(1, min(max(states), level - 1) + 1):
+            reach.setdefault(level - i, set()).add(i)
+        levels.append((level, states))
+
+    value: dict[tuple[int, int], int] = {}
+    for level, states in reversed(levels):
+        for t in states:
+            # one summand per choice of which x-variables vanish at the blow-up
+            # center; the empty choice, C(t, 0) * G(level, 0), is the 1
+            top = min(t, level - 1)
+            value[level, t] = 1 + sum(
+                binomial(t, i) * value[level - i, i] for i in range(1, top + 1)
+            )
+    return value[d, s]
 
 
 def g_rec(d: int, s: int) -> int:
@@ -83,22 +129,20 @@ def f_closed(d: int, s: int) -> int:
     return binomial(d + s - 1, s)
 
 
-def f_multi(dbar: tuple[int, ...], s: int, *, use_recursion: bool = False) -> int:
+def f_multi(dbar: tuple[int, ...], s: int) -> int:
     """Components over lambda = 0 for the multi-exponent model
     a_1^{d_1} ... a_k^{d_k} = lambda * x_1 ... x_s.
 
     Resolving the singularities along a_1 = 0, then a_2 = 0, and so on splits
-    the count into one summand per exponent, so the total is sum_i F(d_i, s).
-    ``use_recursion`` switches the summands from the closed form to the mutual
-    recursion for cross-checking.
+    the count into one summand per exponent, so the total is sum_i F(d_i, s),
+    each by its closed form.
     """
     dbar = tuple(dbar)
     if not dbar:
         raise ValueError("f_multi requires a nonempty exponent list")
     if any(d < 1 for d in dbar):
         raise ValueError(f"f_multi exponents must be positive, got {dbar}")
-    count = f_rec if use_recursion else f_closed
-    return sum(count(d, s) for d in dbar)
+    return sum(f_closed(d, s) for d in dbar)
 
 
 # ---------------------------------------------------------------------------

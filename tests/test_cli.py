@@ -4,7 +4,17 @@ import json
 
 import pytest
 
-from fanolg import CompleteIntersection, hodge_h1, k_lg, verify_main_theorem
+from fanolg import (
+    CompleteIntersection,
+    f_closed,
+    f_rec,
+    g_closed,
+    g_rec,
+    hodge_h1,
+    k_lg,
+    verify_main_theorem,
+    verify_period,
+)
 from fanolg.cli import main
 
 
@@ -121,8 +131,40 @@ class TestPeriods:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "term products" in err and "Traceback" not in err
 
+    def test_max_products_flag_sets_the_budget(self, capsys):
+        # f of the cubic threefold has 11 terms, so power 1 alone forms 11 products
+        argv = ["periods", "--dim", "3", "--degrees", "3", "--order", "6"]
+        code, out, err = run(capsys, *argv, "--max-products", "9")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than 9 term products" in err and "Traceback" not in err
+        code, out, _ = run(capsys, *argv, "--max-products", "100000")
+        assert code == 0
+        assert "verified up to order 6" in out
+
+    def test_negative_max_products_rejected(self, capsys):
+        code, _, err = run(
+            capsys, "periods", "--dim", "3", "--degrees", "3", "--max-products", "-1"
+        )
+        assert code == 2
+        assert "max_products" in err
+
 
 class TestFg:
+    def test_deep_recursion_answers(self, capsys):
+        code, out, _ = run(capsys, "fg", "--d", "3000", "--s", "1")
+        assert code == 0
+        assert "F(3000,1): recursion 3000, closed form 3000" in out
+        assert "G(3000,1): recursion 2999, closed form 2999" in out
+
+    def test_recursion_budget_exceeded_is_a_one_line_error(self, capsys):
+        code, out, err = run(capsys, "fg", "--d", "400", "--s", "400")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "summands" in err and "Traceback" not in err
+
     def test_agreement(self, capsys):
         code, out, _ = run(capsys, "fg", "--d", "3", "--s", "2")
         assert code == 0
@@ -214,6 +256,71 @@ class TestSweep:
         assert code == 0
         rows = out.strip().splitlines()[1:]
         assert rows and all(row.endswith(",true") for row in rows)
+
+
+def json_leaves(obj):
+    if isinstance(obj, dict):
+        for value in obj.values():
+            yield from json_leaves(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from json_leaves(value)
+    else:
+        yield obj
+
+
+class TestJsonRoundTrip:
+    """Every numeric field is a canonical decimal string that reads back to the
+    exact value, far past the 53 bits a JSON number keeps in most readers, and
+    the parsed payload renders back to the same text."""
+
+    def check(self, capsys, *argv):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert json.dumps(payload, indent=2) + "\n" == out
+        for leaf in json_leaves(payload):
+            assert leaf is None or isinstance(leaf, (bool, str)), leaf
+            if isinstance(leaf, str) and leaf.lstrip("-").isdigit():
+                assert str(int(leaf)) == leaf
+        return payload
+
+    def test_hodge(self, capsys):
+        payload = self.check(capsys, "hodge", "--dim", "30", "--degrees", "31")
+        report = hodge_h1(CompleteIntersection(30, (31,)))
+        assert int(payload["dim_R_prime"]) == report.dim_R_prime
+        assert int(payload["h"]) == report.h > 2**53
+
+    def test_klg(self, capsys):
+        payload = self.check(capsys, "klg", "--dim", "30", "--degrees", "31", "--strata")
+        report = k_lg(CompleteIntersection(30, (31,)))
+        assert int(payload["k_lg"]) == report.k_lg > 2**53
+        assert [int(c["divisors"]) for c in payload["contributions"]] == [
+            c.divisors for c in report.contributions
+        ]
+
+    def test_verify(self, capsys):
+        payload = self.check(capsys, "verify", "--dim", "30", "--degrees", "31")
+        report = verify_main_theorem(CompleteIntersection(30, (31,)))
+        assert payload["holds"] is True
+        assert (int(payload["h"]), int(payload["k_lg"])) == (report.h, report.k_lg)
+        assert report.h > 2**53
+
+    def test_periods(self, capsys):
+        payload = self.check(
+            capsys, "periods", "--dim", "3", "--degrees", "3", "--order", "20"
+        )
+        report = verify_period(CompleteIntersection(3, (3,)), 20)
+        constant_terms = [int(c) for c in payload["constant_terms"]]
+        assert constant_terms == list(report.phi.coefficients)
+        assert max(constant_terms) > 2**53
+        assert payload["first_mismatch"] is None
+
+    def test_fg(self, capsys):
+        payload = self.check(capsys, "fg", "--d", "120", "--s", "120")
+        assert int(payload["f_recursion"]) == f_rec(120, 120) == f_closed(120, 120) > 2**53
+        assert int(payload["g_recursion"]) == g_rec(120, 120) == g_closed(120, 120) == 0
+        assert payload["agree"] is True
 
 
 class TestUnexpectedErrors:

@@ -147,6 +147,21 @@ class TestConstantTerm:
         expected = tuple(power.get(zero, 0) for power in unpruned_powers(f, order))
         assert phi_series(f, order).coefficients == expected
 
+    def test_orders_of_both_parities_agree_with_unpruned_powers(self):
+        # the last constant term comes from P[h] . P[h-1] at odd orders and
+        # from P[h] . P[h] at even ones
+        cases = [
+            LaurentPolynomial(1, {(1,): 1, (-1,): 1}),
+            LaurentPolynomial(2, {(1, 0): 2, (0, 1): -1, (-1, -1): 1, (0, 0): 3}),
+            LaurentPolynomial(2, {(2, -1): 1, (-1, 1): -2, (-1, 0): 1, (0, -1): 1}),
+            build_fx(CUBIC_SURFACE),
+        ]
+        for f in cases:
+            zero = (0,) * f.arity
+            expected = tuple(power.get(zero, 0) for power in unpruned_powers(f, 12))
+            for order in range(13):
+                assert phi_series(f, order).coefficients == expected[: order + 1], (f, order)
+
     def test_variable_that_cannot_cancel(self):
         f = LaurentPolynomial(1, {(1,): 1, (2,): 1})
         assert constant_term(f, 0) == 1
@@ -159,12 +174,34 @@ class TestConstantTerm:
 
 class TestWorkBudget:
     def test_budget_counts_term_products(self):
-        # x + 1/x to order 2: 1 * 2 products for f^1, then a dot product over
-        # the 2 pruned terms of f^1
+        # x + 1/x to order 2: 1 * 2 products for f^1, then the dot products
+        # f^1 . f^0 (1, the smaller side) and f^1 . f^1 (2)
         f = LaurentPolynomial(1, {(1,): 1, (-1,): 1})
-        assert phi_series(f, 2, max_products=4).coefficients == (1, 0, 2)
+        assert phi_series(f, 2, max_products=5).coefficients == (1, 0, 2)
         with pytest.raises(TermLimitExceeded):
-            phi_series(f, 2, max_products=3)
+            phi_series(f, 2, max_products=4)
+
+    def test_budget_is_charged_before_the_work(self):
+        calls = []
+
+        class CountingInt(int):
+            def __mul__(self, other):
+                calls.append(1)
+                return int.__mul__(self, other)
+
+            __rmul__ = __mul__
+
+        f = LaurentPolynomial(1, {(1,): CountingInt(1), (-1,): CountingInt(1)})
+        assert phi_series(f, 2).coefficients == (1, 0, 2)
+        assert len(calls) == 2  # the products of f^0 = 1 with the two terms
+        calls.clear()
+        with pytest.raises(TermLimitExceeded):
+            phi_series(f, 2, max_products=1)
+        assert calls == []
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError):
+            phi_series(build_fx(CUBIC_SURFACE), 2, max_products=-1)
 
     def test_default_budget_stops_a_runaway_expansion(self):
         # f has 1,716 terms; power 3 alone would form about 57M products
@@ -247,6 +284,13 @@ class TestVerifyPeriod:
         report = verify_period(ci, order)
         assert report.match
         assert all(c == 0 for n, c in enumerate(report.phi.coefficients) if n % ci.index)
+
+    def test_quadric_fourfold_to_order_40(self):
+        # index 4: ten nonzero coefficients, the last at t^40
+        ci = CompleteIntersection(4, (2,))
+        report = verify_period(ci, 40)
+        assert report.match
+        assert report.phi.coefficients == i_series(ci, 40).coefficients
 
     def test_first_mismatch_helper(self):
         assert _first_mismatch((1, 2, 3), (1, 2, 3)) is None

@@ -148,6 +148,11 @@ class TestMainTheorem:
         for ci in fano_sweep(6, 2, 4):
             assert hodge_h1(ci).h_pr == k_lg(ci).k_lg, ci
 
+    @settings(max_examples=200, deadline=None)
+    @given(fano_complete_intersections())
+    def test_property_primitive_form_beyond_the_sweep(self, ci):
+        assert hodge_h1(ci).h_pr == k_lg(ci).k_lg
+
     def test_index_one_hypersurfaces(self):
         for dim in range(2, 8):
             ci = CompleteIntersection(dim, (dim + 1,))

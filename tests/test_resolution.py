@@ -1,6 +1,7 @@
 """Tests for the counting recursions, closed forms, and the blow-up rewriting."""
 
 import json
+from functools import cache
 from itertools import product
 from math import ceil, comb
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from fanolg import (
     ChartType,
     NodeLimitExceeded,
+    SummandLimitExceeded,
     chart_children,
     f_closed,
     f_multi,
@@ -19,6 +21,7 @@ from fanolg import (
     g_rec,
     resolution_trace,
 )
+from fanolg.resolution import _f_positive
 
 
 def unshared_tree(chart: ChartType) -> tuple[int, set[ChartType]]:
@@ -33,6 +36,17 @@ def unshared_tree(chart: ChartType) -> tuple[int, set[ChartType]]:
             count += sub_count
             charts |= sub_charts
     return count, charts
+
+
+@cache
+def recursive_f(d: int, s: int) -> int:
+    """Oracle: the recursion F(d, s) = sum_i C(s, i) G(d, i), G(d, i) =
+    F(d - i, i), as plain memoised Python recursion over every term."""
+    if d <= 0:
+        return 0
+    if s == 0:
+        return 1
+    return sum(comb(s, i) * (1 if i == 0 else recursive_f(d - i, i)) for i in range(s + 1))
 
 
 class TestCountingFunctions:
@@ -83,6 +97,31 @@ class TestCountingFunctions:
                 assert g_rec(d, s) == g_closed(d, s), (d, s)
                 assert f_rec(d, s) == f_closed(d, s), (d, s)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-2, 60), st.integers(0, 60))
+    def test_property_equals_plain_recursion(self, d, s):
+        assert f_rec(d, s) == recursive_f(d, s)
+
+    def test_deep_recursion_answers(self):
+        # one state per level of d: far past Python's recursion limit
+        assert f_rec(3000, 1) == 3000
+        assert g_rec(3000, 1) == 2999
+        assert f_rec(2500, 3) == f_closed(2500, 3)
+
+    def test_large_square_within_budget(self):
+        assert f_rec(120, 120) == f_closed(120, 120)
+        assert g_rec(240, 120) == f_rec(120, 120)
+
+    def test_summand_budget(self):
+        # (400, 400) reaches about 1.9M summands, past the budget of 1M
+        with pytest.raises(SummandLimitExceeded, match="summands"):
+            f_rec(400, 400)
+        with pytest.raises(SummandLimitExceeded):
+            g_rec(800, 400)
+
+    def test_cache_is_bounded(self):
+        assert _f_positive.cache_info().maxsize is not None
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             f_rec(3, -1)
@@ -105,7 +144,7 @@ class TestFMulti:
         for k in (1, 2, 3):
             for dbar in product(range(1, 9), repeat=k):
                 for s in range(0, 9):
-                    assert f_multi(dbar, s) == f_multi(dbar, s, use_recursion=True)
+                    assert f_multi(dbar, s) == sum(f_rec(d, s) for d in dbar)
 
     def test_empty_dbar_rejected(self):
         with pytest.raises(ValueError):
