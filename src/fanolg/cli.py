@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Sequence
 
-from .givental import DEFAULT_MAX_PRODUCTS, TermLimitExceeded, verify_period
+from .givental import TermLimitExceeded, verify_period
 from .jacobian_ring import hodge_h1
 from .lg_count import k_lg, verify_main_theorem
 from .resolution import (
@@ -153,7 +153,7 @@ def _cmd_periods(args: argparse.Namespace) -> int:
     order = args.order if args.order is not None else 3 * ci.index
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    report = verify_period(ci, order, args.max_products)
+    report = verify_period(ci, order)
     if args.format == "json":
         _emit_json(
             {
@@ -271,12 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_ci_flags(p)
     p.add_argument(
         "--order", type=int, default=None, help="truncation order (default: 3 * index)"
-    )
-    p.add_argument(
-        "--max-products",
-        type=int,
-        default=DEFAULT_MAX_PRODUCTS,
-        help="budget on the term products of the constant-term expansion",
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(run=_cmd_periods)

@@ -265,8 +265,6 @@ def phi_series(
     """
     if order < 0:
         raise ValueError(f"truncation order must be >= 0, got {order}")
-    if max_products < 0:
-        raise ValueError(f"max_products must be >= 0, got {max_products}")
     return PowerSeries(order, tuple(_constant_terms(f, order, max_products)))
 
 

@@ -11,7 +11,6 @@ whose lexicographically decreasing weight proves termination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .exactmath import binomial
@@ -54,7 +53,6 @@ def f_rec(d: int, s: int) -> int:
     return _f_positive(d, s)
 
 
-@lru_cache(maxsize=1024)
 def _f_positive(d: int, s: int) -> int:
     """F(d, s) for d >= 1, bottom-up over the states the recursion reaches.
 

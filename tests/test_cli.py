@@ -131,25 +131,6 @@ class TestPeriods:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "term products" in err and "Traceback" not in err
 
-    def test_max_products_flag_sets_the_budget(self, capsys):
-        # f of the cubic threefold has 11 terms, so power 1 alone forms 11 products
-        argv = ["periods", "--dim", "3", "--degrees", "3", "--order", "6"]
-        code, out, err = run(capsys, *argv, "--max-products", "9")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "more than 9 term products" in err and "Traceback" not in err
-        code, out, _ = run(capsys, *argv, "--max-products", "100000")
-        assert code == 0
-        assert "verified up to order 6" in out
-
-    def test_negative_max_products_rejected(self, capsys):
-        code, _, err = run(
-            capsys, "periods", "--dim", "3", "--degrees", "3", "--max-products", "-1"
-        )
-        assert code == 2
-        assert "max_products" in err
-
 
 class TestFg:
     def test_deep_recursion_answers(self, capsys):

@@ -21,7 +21,6 @@ from fanolg import (
     g_rec,
     resolution_trace,
 )
-from fanolg.resolution import _f_positive
 
 
 def unshared_tree(chart: ChartType) -> tuple[int, set[ChartType]]:
@@ -118,9 +117,6 @@ class TestCountingFunctions:
             f_rec(400, 400)
         with pytest.raises(SummandLimitExceeded):
             g_rec(800, 400)
-
-    def test_cache_is_bounded(self):
-        assert _f_positive.cache_info().maxsize is not None
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
