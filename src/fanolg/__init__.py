@@ -53,6 +53,7 @@ from .resolution import (
     f_closed,
     f_multi,
     f_rec,
+    fg_rec,
     g_closed,
     g_rec,
     resolution_trace,
@@ -95,6 +96,7 @@ __all__ = [
     "SummandLimitExceeded",
     "f_rec",
     "g_rec",
+    "fg_rec",
     "f_closed",
     "g_closed",
     "f_multi",

@@ -2,10 +2,11 @@
 
 Every computation is exposed with machine-readable output.  Exit codes: 0 for
 success (including successful verification), 1 for a failed verification, 2
-for invalid input, 3 for an exceeded work budget (trace tree nodes, period
-term products) and 4 for any other error; codes 2 to 4 come with a one-line
-``error:`` on stderr.  JSON output renders every numeric field as a decimal
-string, since the exact values outgrow 64-bit integers quickly.
+for invalid input, 3 for an exceeded work budget (trace tree nodes or cells,
+period term products, recursion summands) and 4 for any other error; codes 2
+to 4 come with a one-line ``error:`` on stderr.  JSON output renders every
+numeric field as a decimal string, since the exact values outgrow 64-bit
+integers quickly.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from .resolution import (
     NodeLimitExceeded,
     SummandLimitExceeded,
     f_closed,
-    f_rec,
+    fg_rec,
     g_closed,
-    g_rec,
     resolution_trace,
 )
 from .varieties import CompleteIntersection, fano_sweep
@@ -192,10 +192,11 @@ def _cmd_fg(args: argparse.Namespace) -> int:
         raise ValueError(f"d must be >= 1, got {d}")
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
+    f_recursion, g_recursion = fg_rec(d, s)
     values = {
-        "f_recursion": f_rec(d, s),
+        "f_recursion": f_recursion,
         "f_closed": f_closed(d, s),
-        "g_recursion": g_rec(d, s),
+        "g_recursion": g_recursion,
         "g_closed": g_closed(d, s),
     }
     agree = (

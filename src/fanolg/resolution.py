@@ -28,6 +28,12 @@ class SummandLimitExceeded(RuntimeError):
 # about 0.8M, (400, 400) about 1.9M.
 MAX_RECURSION_SUMMANDS = 1_000_000
 
+# Cells a resolution trace may store: each expanded chart costs len(dbar) + m + 2
+# for a center of size m, each terminal chart len(dbar) + 1.  The criterion-8
+# family and (8, 8, 8) s = 8 need at most 34,966 (that chart itself),
+# (6, 6, 6) s = 6 needs 4,316.
+MAX_TRACE_CELLS = 10_000_000
+
 
 # ---------------------------------------------------------------------------
 # counting functions
@@ -42,7 +48,7 @@ def f_rec(d: int, s: int) -> int:
 
     Conventions: 0 whenever d <= 0, and 1 when s = 0 (the hypersurface is
     already smooth, its central fiber irreducible).  The recursion is evaluated
-    without Python recursion (see ``_f_positive``), and raises
+    without Python recursion (see ``_f_states``), and raises
     ``SummandLimitExceeded`` when it would add more than
     ``MAX_RECURSION_SUMMANDS`` summands.
     """
@@ -50,11 +56,13 @@ def f_rec(d: int, s: int) -> int:
         raise ValueError(f"f_rec requires s >= 0, got s={s}")
     if d <= 0:
         return 0
-    return _f_positive(d, s)
+    if s == 0:
+        return 1
+    return _f_states(d, s)[d, s]
 
 
-def _f_positive(d: int, s: int) -> int:
-    """F(d, s) for d >= 1, bottom-up over the states the recursion reaches.
+def _f_states(d: int, s: int) -> dict[tuple[int, int], int]:
+    """F at every state (d', s') the recursion reaches from (d, s), for d, s >= 1.
 
     The state (d', s') needs G(d', i) = F(d' - i, i) for 1 <= i <= s', and only
     for i < d', since F vanishes at d' - i <= 0; G(d', 0) = 1.  A first pass
@@ -63,8 +71,6 @@ def _f_positive(d: int, s: int) -> int:
     summand per term before any arithmetic; a second pass evaluates the states
     in increasing d', so every child is known before its parents.
     """
-    if s == 0:
-        return 1
     reach: dict[int, set[int]] = {d: {s}}
     levels: list[tuple[int, set[int]]] = []
     summands = 0
@@ -89,7 +95,25 @@ def _f_positive(d: int, s: int) -> int:
             value[level, t] = 1 + sum(
                 binomial(t, i) * value[level - i, i] for i in range(1, top + 1)
             )
-    return value[d, s]
+    return value
+
+
+def fg_rec(d: int, s: int) -> tuple[int, int]:
+    """F(d, s) and G(d, s) from one evaluation of the recursion of ``f_rec``.
+
+    G(d, s) = F(d - s, s) is the i = s term of the recursion for F(d, s), so
+    for 1 <= s <= d - 1 its state lies in the table that F(d, s) builds; G is
+    1 at s = 0 and 0 for s >= d.  Same values and budget as ``f_rec`` and
+    ``g_rec``, with the shared states evaluated once.
+    """
+    if d < 1:
+        raise ValueError(f"fg_rec requires d >= 1, got d={d}")
+    if s < 0:
+        raise ValueError(f"fg_rec requires s >= 0, got s={s}")
+    if s == 0:
+        return 1, 1
+    value = _f_states(d, s)
+    return value[d, s], value[d - s, s] if s < d else 0
 
 
 def g_rec(d: int, s: int) -> int:
@@ -162,7 +186,7 @@ class ChartType:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dbar", tuple(self.dbar))
-        if any(d < 1 for d in self.dbar):
+        if self.dbar and min(self.dbar) < 1:
             raise ValueError(f"chart exponents must be positive, got {self.dbar}")
         if self.s < 0:
             raise ValueError(f"chart requires s >= 0, got s={self.s}")
@@ -184,12 +208,32 @@ class ChartEdge(NamedTuple):
     child: ChartType
 
 
-def _nonzero(exponents: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(d for d in exponents if d)
+ChartKey = tuple[tuple[int, ...], int]  # (dbar, s) of a chart
+
+
+def _blow_up(dbar: tuple[int, ...], s: int) -> tuple[int, ChartKey, ChartKey]:
+    """The rewriting rule on a non-terminal chart: the center size m and the
+    keys of the a_1 != 0 chart and of the (isomorphic) x_i != 0 charts."""
+    d1 = dbar[0]
+    m = min(d1, s)
+    rest = d1 - m
+    if rest:
+        return m, ((rest,) + dbar[1:], s), (dbar + (rest,), s - 1)
+    return m, (dbar[1:], s), (dbar, s - 1)
+
+
+_A_LABELS = ("a1 != 0",)
+
+
+def _center(m: int) -> tuple[str, tuple[str, ...]]:
+    """The blow-up center {a_1 = x_1 = ... = x_m = 0} and the labels of its x-charts."""
+    stratum = "a1 = " + " = ".join(f"x{i}" for i in range(1, m + 1)) + " = 0"
+    return stratum, tuple(f"x{i} != 0" for i in range(1, m + 1))
 
 
 def chart_children(chart: ChartType) -> list[ChartEdge]:
-    """One blow-up step applied to a non-terminal chart.
+    """One blow-up step applied to a non-terminal chart, one edge per chart of
+    the blow-up (a thin wrapper over the rule that ``resolution_trace`` uses).
 
     The center is {a_1 = x_1 = ... = x_m = 0} with m = min(d_1, s), and the
     blow-up is covered by m + 1 charts.  In the chart a_1 != 0 the exponent d_1
@@ -201,13 +245,11 @@ def chart_children(chart: ChartType) -> list[ChartEdge]:
     """
     if chart.is_terminal:
         raise ValueError(f"chart {chart} is terminal (smooth); there is nothing to blow up")
-    d1, rest = chart.dbar[0], chart.dbar[1:]
-    m = min(d1, chart.s)
-    stratum = "a1 = " + " = ".join(f"x{i}" for i in range(1, m + 1)) + " = 0"
-    a_child = ChartType(_nonzero((d1 - m,) + rest), chart.s)
-    x_child = ChartType(_nonzero(chart.dbar + (d1 - m,)), chart.s - 1)
-    edges = [ChartEdge(stratum, "a1 != 0", a_child)]
-    edges.extend(ChartEdge(stratum, f"x{i} != 0", x_child) for i in range(1, m + 1))
+    m, a_key, x_key = _blow_up(chart.dbar, chart.s)
+    stratum, x_labels = _center(m)
+    x_child = ChartType(*x_key)
+    edges = [ChartEdge(stratum, _A_LABELS[0], ChartType(*a_key))]
+    edges.extend(ChartEdge(stratum, label, x_child) for label in x_labels)
     return edges
 
 
@@ -318,45 +360,67 @@ class ResolutionTrace:
 def resolution_trace(chart: ChartType, node_limit: int = 1_000_000) -> ResolutionTrace:
     """Run the rewriting to completion from ``chart``, recording every blow-up.
 
-    Each distinct chart is expanded once, and the trace is assembled in
-    increasing weight, so every child node exists before its parents; the
-    tree size of each chart is memoised on the way.  ``node_limit`` bounds
-    the tree size: the build fails with ``NodeLimitExceeded`` as soon as the
-    distinct charts alone pass it, or a chart's tree would hold more than
-    ``node_limit`` nodes.  Since the weights decrease strictly, the rewriting
-    always ends; the limit bounds the work, not a termination bug.
+    One depth-first pass over the (dbar, s) keys expands each distinct chart
+    once, the x_i != 0 chart before the a_1 != 0 chart, and sums the tree size
+    of each chart as it closes, after its children.  ``node_limit`` bounds the
+    tree size: the build fails with ``NodeLimitExceeded`` at the first subtree
+    that holds more than ``node_limit`` nodes, before the rest is expanded.
+    It fails the same way once the expanded charts would store more than
+    ``MAX_TRACE_CELLS`` cells, charged ``len(dbar) + m + 2`` per expanded
+    chart with a center of size m and ``len(dbar) + 1`` per terminal chart,
+    which bounds the memory of long exponent lists.  The
+    nodes are then assembled in increasing weight (pre-order among equal
+    weights), so every child node exists before its parents.  Since the
+    weights decrease strictly, the rewriting always ends; the budgets bound
+    the work, not a termination bug.
     """
     if node_limit < 1:
         raise ValueError(f"node_limit must be positive, got {node_limit}")
 
-    def exceeded() -> NodeLimitExceeded:
-        return NodeLimitExceeded(f"resolution trace from {chart} exceeded {node_limit} nodes")
-
-    # each distinct chart with its blow-up center and its children, grouped
-    steps: dict[ChartType, tuple[str, dict[ChartType, list[str]]]] = {}
-    pending = [chart]
+    # each distinct chart in pre-order, its blow-up step (None when terminal)
+    # and, once closed, its tree size
+    steps: dict[ChartKey, tuple[int, ChartKey, ChartKey] | None] = {}
+    sizes: dict[ChartKey, int] = {}
+    cells = 0
+    pending = [(chart.dbar, chart.s)]
     while pending:
-        current = pending.pop()
-        if current in steps:
+        key = pending.pop()
+        if key in sizes:
             continue
-        stratum, grouped = "", {}
-        if not current.is_terminal:
-            for edge in chart_children(current):
-                stratum = edge.stratum
-                grouped.setdefault(edge.child, []).append(edge.label)
-        steps[current] = (stratum, grouped)
-        if len(steps) > node_limit:
-            raise exceeded()
-        pending.extend(grouped)
+        if key in steps:  # met again only to close it, since no chart is its own descendant
+            _, a_key, x_key = steps[key]
+            size = sizes[key] = 1 + sizes[a_key] + sizes[x_key]
+            if size > node_limit:
+                raise NodeLimitExceeded(f"resolution trace from {chart} exceeded {node_limit} nodes")
+            continue
+        dbar, s = key
+        # a key stores len(dbar) + 1 cells, a blow-up step m + 1 more
+        if dbar and s:
+            m, a_key, x_key = steps[key] = _blow_up(dbar, s)
+            pending += (key, a_key, x_key)  # close after both children, the x-chart first
+            cells += len(dbar) + m + 2
+        else:
+            steps[key], sizes[key] = None, 1
+            cells += len(dbar) + 1
+        if cells > MAX_TRACE_CELLS:
+            raise NodeLimitExceeded(
+                f"resolution trace from {chart} would store more than {MAX_TRACE_CELLS:,} cells"
+            )
 
-    nodes: dict[ChartType, TraceNode] = {}
-    sizes: dict[ChartType, int] = {}
-    for current in sorted(steps, key=ChartType.weight):
-        stratum, grouped = steps[current]
-        size = 1 + sum(sizes[child] for child in grouped)
-        if size > node_limit:
-            raise exceeded()
-        sizes[current] = size
-        edges = (TraceEdge(stratum, tuple(labels), nodes[child]) for child, labels in grouped.items())
-        nodes[current] = TraceNode(current, tuple(edges))
-    return ResolutionTrace(tuple(reversed(nodes.values())), sizes[chart])
+    centers: dict[int, tuple[str, tuple[str, ...]]] = {}
+    nodes: dict[ChartKey, TraceNode] = {}
+    for key in sorted(steps, key=lambda key: (key[1], sum(key[0]))):
+        step = steps[key]
+        if step is None:
+            nodes[key] = TraceNode(ChartType(*key), ())
+            continue
+        m, a_key, x_key = step
+        if m not in centers:
+            centers[m] = _center(m)
+        stratum, x_labels = centers[m]
+        edges = (
+            TraceEdge(stratum, _A_LABELS, nodes[a_key]),
+            TraceEdge(stratum, x_labels, nodes[x_key]),
+        )
+        nodes[key] = TraceNode(ChartType(*key), edges)
+    return ResolutionTrace(tuple(reversed(nodes.values())), sizes[chart.dbar, chart.s])

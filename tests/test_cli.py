@@ -206,6 +206,26 @@ class TestResolveTrace:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "exceeded 900 nodes" in err and "Traceback" not in err
 
+    def test_node_limit_is_exact(self, capsys):
+        argv = ("resolve-trace", "--dbar", "6,6,6", "--s", "6", "--node-limit")
+        code, out, _ = run(capsys, *argv, "7231")
+        assert code == 0
+        assert json.loads(out)["node_count"] == "7231"
+        code, out, err = run(capsys, *argv, "7230")
+        assert code == 3
+        assert out == "" and "exceeded 7230 nodes" in err
+
+    @pytest.mark.parametrize(
+        "dbar, s, reason",
+        [("12,12,12", "12", "exceeded 1000000 nodes"), ("99999", "99999", "cells")],
+    )
+    def test_large_chart_is_rejected_early(self, capsys, dbar, s, reason):
+        code, out, err = run(capsys, "resolve-trace", "--dbar", dbar, "--s", s)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert reason in err and "Traceback" not in err
+
     def test_invalid_chart(self, capsys):
         code, _, err = run(capsys, "resolve-trace", "--dbar", "0,2", "--s", "1")
         assert code == 2

@@ -1,6 +1,7 @@
 """Tests for the counting recursions, closed forms, and the blow-up rewriting."""
 
 import json
+import tracemalloc
 from functools import cache
 from itertools import product
 from math import ceil, comb
@@ -12,15 +13,20 @@ from hypothesis import strategies as st
 from fanolg import (
     ChartType,
     NodeLimitExceeded,
+    ResolutionTrace,
     SummandLimitExceeded,
+    TraceEdge,
+    TraceNode,
     chart_children,
     f_closed,
     f_multi,
     f_rec,
+    fg_rec,
     g_closed,
     g_rec,
     resolution_trace,
 )
+from fanolg.resolution import MAX_TRACE_CELLS
 
 
 def unshared_tree(chart: ChartType) -> tuple[int, set[ChartType]]:
@@ -35,6 +41,54 @@ def unshared_tree(chart: ChartType) -> tuple[int, set[ChartType]]:
             count += sub_count
             charts |= sub_charts
     return count, charts
+
+
+def worklist_trace(chart: ChartType, node_limit: int = 1_000_000) -> ResolutionTrace:
+    """Oracle: the two-phase build of the trace.  A worklist expands each
+    distinct chart once through ``chart_children`` (the x-chart popped first,
+    a chart skipped if already seen), then the nodes are assembled in
+    increasing weight, with the tree size of each chart summed on the way."""
+    if node_limit < 1:
+        raise ValueError(f"node_limit must be positive, got {node_limit}")
+
+    def exceeded() -> NodeLimitExceeded:
+        return NodeLimitExceeded(f"resolution trace from {chart} exceeded {node_limit} nodes")
+
+    steps: dict[ChartType, tuple[str, dict[ChartType, list[str]]]] = {}
+    pending = [chart]
+    while pending:
+        current = pending.pop()
+        if current in steps:
+            continue
+        stratum, grouped = "", {}
+        if not current.is_terminal:
+            for edge in chart_children(current):
+                stratum = edge.stratum
+                grouped.setdefault(edge.child, []).append(edge.label)
+        steps[current] = (stratum, grouped)
+        if len(steps) > node_limit:
+            raise exceeded()
+        pending.extend(grouped)
+
+    nodes: dict[ChartType, TraceNode] = {}
+    sizes: dict[ChartType, int] = {}
+    for current in sorted(steps, key=ChartType.weight):
+        stratum, grouped = steps[current]
+        size = 1 + sum(sizes[child] for child in grouped)
+        if size > node_limit:
+            raise exceeded()
+        sizes[current] = size
+        edges = (TraceEdge(stratum, tuple(labels), nodes[child]) for child, labels in grouped.items())
+        nodes[current] = TraceNode(current, tuple(edges))
+    return ResolutionTrace(tuple(reversed(nodes.values())), sizes[chart])
+
+
+def outcome(build, chart: ChartType, node_limit: int):
+    """The trace's JSON form, or the type of the exception the build raised."""
+    try:
+        return build(chart, node_limit=node_limit).to_json_dict()
+    except (NodeLimitExceeded, ValueError) as exc:
+        return type(exc)
 
 
 @cache
@@ -101,10 +155,16 @@ class TestCountingFunctions:
     def test_property_equals_plain_recursion(self, d, s):
         assert f_rec(d, s) == recursive_f(d, s)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 60), st.integers(0, 60))
+    def test_property_shared_table_equals_separate_routes(self, d, s):
+        assert fg_rec(d, s) == (f_rec(d, s), g_rec(d, s))
+
     def test_deep_recursion_answers(self):
         # one state per level of d: far past Python's recursion limit
         assert f_rec(3000, 1) == 3000
         assert g_rec(3000, 1) == 2999
+        assert fg_rec(3000, 1) == (3000, 2999)
         assert f_rec(2500, 3) == f_closed(2500, 3)
 
     def test_large_square_within_budget(self):
@@ -117,6 +177,8 @@ class TestCountingFunctions:
             f_rec(400, 400)
         with pytest.raises(SummandLimitExceeded):
             g_rec(800, 400)
+        with pytest.raises(SummandLimitExceeded):
+            fg_rec(400, 400)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -127,6 +189,10 @@ class TestCountingFunctions:
             g_closed(0, 1)
         with pytest.raises(ValueError):
             f_closed(2, -1)
+        with pytest.raises(ValueError):
+            fg_rec(0, 1)
+        with pytest.raises(ValueError):
+            fg_rec(3, -1)
 
 
 class TestFMulti:
@@ -260,6 +326,37 @@ class TestResolutionTrace:
         assert len({node.chart for node in trace.iter_nodes()}) == len(trace.nodes) == 4637
         nodes = {node.chart: node for node in trace.iter_nodes()}
         assert all(edge.node is nodes[edge.node.chart] for _, edge in trace.iter_edges())
+
+    def test_early_rejection(self):
+        # the tree passes 1M nodes long before the distinct charts are all expanded
+        tracemalloc.start()
+        try:
+            with pytest.raises(NodeLimitExceeded, match="exceeded 1000000 nodes"):
+                resolution_trace(ChartType((12, 12, 12), 12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
+    @pytest.mark.parametrize("d", [300, 2000, 99999])
+    def test_cell_budget(self, d):
+        # long exponent lists: each chart of the x-chart chain stores up to s entries
+        with pytest.raises(NodeLimitExceeded, match=f"more than {MAX_TRACE_CELLS:,} cells"):
+            resolution_trace(ChartType((d,), d))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dbar=st.lists(st.integers(1, 6), max_size=3).map(tuple),
+        s=st.integers(0, 6),
+    )
+    def test_property_equals_worklist_build(self, dbar, s):
+        chart = ChartType(dbar, s)
+        trace, oracle = resolution_trace(chart), worklist_trace(chart)
+        assert trace.node_count == oracle.node_count
+        assert trace.to_json_dict() == oracle.to_json_dict()
+        assert trace.to_dot() == oracle.to_dot()
+        for limit in (trace.node_count, trace.node_count - 1):
+            assert outcome(resolution_trace, chart, limit) == outcome(worklist_trace, chart, limit)
 
     @settings(max_examples=150, deadline=None)
     @given(
