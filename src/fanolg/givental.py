@@ -11,9 +11,11 @@ reproduce, coefficient by coefficient, the regularized hypergeometric series
 
     sum_{d >= 0} (d*index)! * (d*d_1)! * ... * (d*d_k)! / (d!)^(N+k+1) * t^(d*index).
 
-The expansion side is computed generically (sparse multiplication up to half
-the order, then dot products of the two halves); the closed-form side from
-factorials.  Agreement is reported, never repaired.
+The expansion side is computed generically: sparse multiplication up to half
+the order, then dot products of the two halves, the last odd coefficient read
+from the square of the half power over one term of f per orbit of its
+interchangeable variables.  The closed-form side comes from factorials.
+Agreement is reported, never repaired.
 """
 
 from __future__ import annotations
@@ -146,23 +148,67 @@ class TermLimitExceeded(RuntimeError):
     its budget allows."""
 
 
+def _term_orbits(f: LaurentPolynomial) -> dict[tuple[int, ...], int]:
+    """One term of f per orbit under the group G of permutations within the
+    classes of interchangeable variables, mapped to the size of its orbit.
+
+    Variables v and w are interchangeable when swapping them maps f to itself.
+    The relation is an equivalence: if the swaps (v w) and (w u) fix f, so does
+    their conjugate (v u).  G is generated by such swaps, so it fixes f, every
+    orbit lies in f's support and carries one coefficient.  Terms are grouped
+    by their exponents sorted within each class; the first one seen stands for
+    its orbit.  Only f's terms are read, nothing of how f was built.
+    """
+    terms = f.terms
+    classes: list[list[int]] = []
+    for v in range(f.arity):
+        for cls in classes:
+            swap = list(range(f.arity))
+            swap[v], swap[cls[0]] = cls[0], v
+            if all(terms.get(tuple(e[u] for u in swap)) == c for e, c in terms.items()):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    representative: dict[tuple[int, ...], tuple[int, ...]] = {}
+    weights: dict[tuple[int, ...], int] = {}
+    for e in terms:
+        rep = representative.setdefault(
+            tuple(x for cls in classes for x in sorted(e[v] for v in cls)), e
+        )
+        weights[rep] = weights.get(rep, 0) + 1
+    return weights
+
+
 def _constant_terms(
     f: LaurentPolynomial, order: int, max_products: int = DEFAULT_MAX_PRODUCTS
 ) -> list[int]:
     """Constant terms of f^0, f^1, ..., f^order, from the powers of f up to
-    ceil(order/2) alone.
+    floor(order/2) alone.
 
-    Two halves: splitting n = a + b with a = ceil(n/2) and b = floor(n/2),
+    Two halves: splitting n = a + b,
 
         CT(f^n) = sum_e [f^a]_e * [f^b]_{-e},
 
     so with P[h] the (pruned) h-th power, CT(f^(2h-1)) = P[h] . P[h-1] and
-    CT(f^(2h)) = P[h] . P[h].  The powers P[1], ..., P[ceil(order/2)] are formed
-    by iterated sparse multiplication, and only two of them are held at a time.
+    CT(f^(2h)) = P[h] . P[h].  The powers P[1], ..., P[floor(order/2)] are
+    formed by iterated sparse multiplication, and only two of them are held at
+    a time.  At an odd order n = 2h - 1 the last coefficient is read from
+    P[h-1] alone, with f's terms t as the third factor:
+
+        CT(f^n) = sum_t f_t * sum_e P[h-1]_e * P[h-1]_{-e-t},
+
+    so P[h] is never formed.  The inner sum is the coefficient of x^(-t) in
+    P[h-1]^2.  Permuting variables within a class of interchangeable variables
+    (see ``_term_orbits``) fixes f, and it fixes the pruning window below,
+    because lo and hi agree within a class; so it fixes P[h-1] and P[h-1]^2,
+    and the inner sum is the same for every term of an orbit.  The outer sum
+    runs over one term per orbit, weighted by the orbit's size.
 
     Box: with lo[v] and hi[v] the extremes of f's support in variable v, every
     exponent of every power f^m with m <= order lies in the box
-    [min(0, order*lo[v]), max(0, order*hi[v])], variable by variable.
+    [min(0, order*lo[v]), max(0, order*hi[v])], variable by variable; W[v] is
+    its width, at least order*max(|lo[v]|, |hi[v]|) + 1.
 
     Packing: the box widths serve as a mixed radix.  A monomial e of a power is
     keyed by the integer sum_v (e[v] - min(0, order*lo[v])) * stride[v], with
@@ -170,20 +216,29 @@ def _constant_terms(
     is keyed without the bias, as the signed offset sum_v e[v] * stride[v].  The
     sum of the two keys is then exactly the key of the product monomial, and
     the packing is injective on the box, so a multiplication adds integers.
-    With ``zero`` the key of the zero vector, the key of -e is 2*zero - key(e).
+    With ``zero`` the key of the zero vector, the key of -e is 2*zero - key(e)
+    and that of -(e+t) is 2*zero - key(e) - key(t).
 
     Pruning: after forming P[m], monomials that can no longer reach exponent
     zero with the remaining r = order - m factors are discarded, keeping e only
     if -r*hi[v] <= e[v] <= -r*lo[v] for every v.  The test on v reads digit v
     of the key, and is skipped when the window holds every exponent that m
     factors can reach.  The window uses the extremes of f's support, so the
-    pruning never alters a retained coefficient.  Both dot products stay exact:
-    a pair e, -e from the supports of f^a and f^b (a + b <= order) lies in the
-    windows of both powers.  Every retained e lies in its window, so -e lies in
-    the box and its key is the one above.
+    pruning never alters a retained coefficient.  The lookups stay exact.  A
+    pair e, -e from the supports of f^a and f^b (a + b <= order) lies in the
+    windows of both powers, and so does a pair e, -(e+t) with t a term of f at
+    the odd last step, so no needed monomial is pruned.  A looked-up vector y
+    (-e or -(e+t)) may lie outside the box: for f = x^5 + 1/x at order 3,
+    -(e+t) reaches -4 < -3.  Its key still matches no other monomial.  A
+    retained z is, like e and t, an exponent of a product of terms of f, at
+    most ``order`` of them in y - z all told, so
+    |y[v] - z[v]| <= order*max(|lo[v]|, |hi[v]|) < W[v] in every variable; and
+    two vectors that close share a key only when equal, since the last
+    variable where they differ outweighs all those before it.
 
-    Budget: before each multiplication len(P[m-1]) * len(f.terms) term products,
-    and before each dot product the length of the smaller of its two powers,
+    Budget: before each multiplication len(P[m-1]) * len(f.terms) term
+    products, before each dot product the length of the smaller of its two
+    powers, and before the odd last step len(P[h-1]) times the number of orbits
     are added to a running total; ``TermLimitExceeded`` is raised, before the
     work is done, if the total would pass ``max_products``.
     """
@@ -201,7 +256,11 @@ def _constant_terms(
         strides.append(strides[v] * (max(0, order * hi[v]) - bias[v] + 1))
     zero = -sum(b * s for b, s in zip(bias, strides))
     twice_zero = 2 * zero
-    items = [(sum(x * s for x, s in zip(e, strides)), c) for e, c in f.terms.items()]
+
+    def offset(e: tuple[int, ...]) -> int:
+        return sum(x * s for x, s in zip(e, strides))
+
+    items = [(offset(e), c) for e, c in f.terms.items()]
 
     products = 0
 
@@ -222,7 +281,7 @@ def _constant_terms(
         return sum(c * get(twice_zero - k, 0) for k, c in p.items())
 
     prev = {zero: 1}
-    for m in range(1, (order + 1) // 2 + 1):
+    for m in range(1, order // 2 + 1):
         charge(len(prev) * len(items), m)
         nxt: dict[int, int] = {}
         get = nxt.get
@@ -242,9 +301,17 @@ def _constant_terms(
             keys = [k for k in keys if a <= k % w < b]
         cur = {k: nxt[k] for k in keys}
         out.append(dot(cur, prev, 2 * m - 1))
-        if 2 * m <= order:
-            out.append(dot(cur, cur, 2 * m))
+        out.append(dot(cur, cur, 2 * m))
         prev = cur
+    if order % 2:
+        orbits = _term_orbits(f)
+        charge(len(prev) * len(orbits), order)
+        get = prev.get
+        total = 0
+        for e, weight in orbits.items():
+            base = twice_zero - offset(e)
+            total += weight * f.terms[e] * sum(c * get(base - k, 0) for k, c in prev.items())
+        out.append(total)
     return out
 
 

@@ -11,7 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactmath import binomial, capped_vectors
+from .resolution import SummandLimitExceeded
 from .varieties import CompleteIntersection
+
+
+# Summands the inclusion-exclusion of ``dim_R_prime_1`` may add: k * 2^k for k
+# equations, so k <= 16 answers (k = 16 takes a few seconds) and k >= 17 is
+# refused before any arithmetic.
+MAX_INCLUSION_EXCLUSION_SUMMANDS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,17 @@ def delta_j(ci: CompleteIntersection, j: int) -> int:
 
 def dim_R_prime_1(ci: CompleteIntersection) -> int:
     """Dimension of the (1, -index) piece of the partial quotient ring, namely
-    sum_j delta_j."""
+    sum_j delta_j.
+
+    Raises ``SummandLimitExceeded`` when the k * 2^k summands of the k
+    inclusion-exclusions would pass ``MAX_INCLUSION_EXCLUSION_SUMMANDS``.
+    """
+    summands = ci.k << ci.k
+    if summands > MAX_INCLUSION_EXCLUSION_SUMMANDS:
+        raise SummandLimitExceeded(
+            f"the inclusion-exclusion for {ci} would add {summands:,} summands,"
+            f" more than {MAX_INCLUSION_EXCLUSION_SUMMANDS:,}"
+        )
     return sum(delta_j(ci, j) for j in range(1, ci.k + 1))
 
 

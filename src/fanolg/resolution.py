@@ -21,7 +21,9 @@ class NodeLimitExceeded(RuntimeError):
 
 
 class SummandLimitExceeded(RuntimeError):
-    """Raised when the recursion for F would add more summands than its budget."""
+    """Raised when an exact sum would add more summands than its budget: the
+    recursion for F here, the inclusion-exclusion of
+    ``jacobian_ring.dim_R_prime_1``."""
 
 
 # Summands the recursion for F may add in one evaluation: (300, 300) needs

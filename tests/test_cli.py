@@ -67,6 +67,14 @@ class TestHodge:
         assert code == 2
         assert "dimension" in err
 
+    @pytest.mark.parametrize("command", ["hodge", "verify"])
+    def test_summand_budget_exceeded_is_a_one_line_error(self, capsys, command):
+        code, out, err = run(capsys, command, "--dim", "30", "--degrees", ",".join(["2"] * 20))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "summands" in err
+        assert err.count("\n") == 1
+
     def test_json_values_are_decimal_strings(self, capsys):
         code, out, _ = run(capsys, "hodge", "--dim", "3", "--degrees", "3", "--format", "json")
         assert code == 0

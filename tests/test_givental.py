@@ -1,6 +1,7 @@
 """Tests for the mirror polynomial, the expansion engine, and the period check."""
 
 import random
+from itertools import permutations, product
 from math import comb, factorial
 
 import pytest
@@ -18,10 +19,11 @@ from fanolg import (
     phi_series,
     verify_period,
 )
-from fanolg.givental import _first_mismatch
+from fanolg.givental import _first_mismatch, _term_orbits
 
 CUBIC_SURFACE = CompleteIntersection(2, (3,))
 CUBIC_THREEFOLD = CompleteIntersection(3, (3,))
+QUINTIC_FOURFOLD = CompleteIntersection(4, (5,))
 QUADRIC_THREEFOLD = CompleteIntersection(3, (2,))
 
 
@@ -57,6 +59,33 @@ def laurent_polynomials(draw):
     exponents = st.tuples(*[st.integers(-3, 3)] * arity)
     terms = draw(st.dictionaries(exponents, st.integers(-4, 4), max_size=6))
     return LaurentPolynomial(arity, terms)
+
+
+def symmetrized(f, classes):
+    """The sum of g(f) over the permutations g that move variables only within
+    their class, so the variables of a class are interchangeable in the sum."""
+    terms = {}
+    for images in product(*(permutations(cls) for cls in classes)):
+        source = list(range(f.arity))
+        for cls, image in zip(classes, images):
+            for v, w in zip(cls, image):
+                source[w] = v
+        for e, c in f.terms.items():
+            moved = tuple(e[source[u]] for u in range(f.arity))
+            terms[moved] = terms.get(moved, 0) + c
+    return LaurentPolynomial(f.arity, terms)
+
+
+@st.composite
+def symmetric_laurent_polynomials(draw):
+    """A random Laurent polynomial symmetrized over a random partition of its
+    variables."""
+    arity = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.integers(0, arity - 1), min_size=arity, max_size=arity))
+    classes = [[v for v in range(arity) if labels[v] == c] for c in sorted(set(labels))]
+    exponents = st.tuples(*[st.integers(-1, 2)] * arity)
+    terms = draw(st.dictionaries(exponents, st.integers(-3, 3), max_size=4))
+    return symmetrized(LaurentPolynomial(arity, terms), classes)
 
 
 class TestLaurentPolynomial:
@@ -148,18 +177,50 @@ class TestConstantTerm:
         assert phi_series(f, order).coefficients == expected
 
     def test_orders_of_both_parities_agree_with_unpruned_powers(self):
-        # the last constant term comes from P[h] . P[h-1] at odd orders and
-        # from P[h] . P[h] at even ones
+        # the last constant term comes from P[h] . P[h] at even orders 2h, and
+        # at odd orders 2h - 1 from P[h-1]^2 against the terms of f, one term
+        # per orbit of the interchangeable variables (x and y in the fifth case)
         cases = [
             LaurentPolynomial(1, {(1,): 1, (-1,): 1}),
             LaurentPolynomial(2, {(1, 0): 2, (0, 1): -1, (-1, -1): 1, (0, 0): 3}),
             LaurentPolynomial(2, {(2, -1): 1, (-1, 1): -2, (-1, 0): 1, (0, -1): 1}),
             build_fx(CUBIC_SURFACE),
+            symmetrized(
+                LaurentPolynomial(3, {(1, 0, 0): 1, (0, 0, 1): 2, (-1, -1, 0): 1, (1, -1, 1): -1}),
+                [[0, 1], [2]],
+            ),
         ]
         for f in cases:
             zero = (0,) * f.arity
             expected = tuple(power.get(zero, 0) for power in unpruned_powers(f, 12))
             for order in range(13):
+                assert phi_series(f, order).coefficients == expected[: order + 1], (f, order)
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_laurent_polynomials())
+    def test_property_symmetric_agrees_with_unpruned_power(self, f):
+        zero = (0,) * f.arity
+        expected = tuple(power.get(zero, 0) for power in unpruned_powers(f, 9))
+        for order in range(10):
+            assert phi_series(f, order).coefficients == expected[: order + 1], order
+
+    def test_odd_orders_on_skewed_supports(self):
+        # lo = -1, hi = 5 in the first variable: at the odd last step -(e+t)
+        # leaves the box [min(0, order*lo), max(0, order*hi)] (down to -4 at
+        # order 3), in a variable whose digit is not the last of the key
+        cases = [
+            LaurentPolynomial(1, {(5,): 1, (-1,): 2, (2,): 1}),
+            LaurentPolynomial(2, {(5, -1): 1, (-1, 0): 3, (0, 1): -1, (1, -1): 2}),
+            LaurentPolynomial(2, {(5, 1): 1, (-1, 0): 1, (2, 0): -2, (1, 0): 2}),
+            LaurentPolynomial(
+                3, {(5, -1, 1): 1, (-1, 0, -1): 2, (-1, 1, 0): 1, (0, 0, 1): -1, (1, -1, -1): 2}
+            ),
+        ]
+        for f in cases:
+            zero = (0,) * f.arity
+            expected = tuple(power.get(zero, 0) for power in unpruned_powers(f, 11))
+            assert any(expected[1::2]), f
+            for order in range(1, 12, 2):
                 assert phi_series(f, order).coefficients == expected[: order + 1], (f, order)
 
     def test_variable_that_cannot_cancel(self):
@@ -199,10 +260,55 @@ class TestWorkBudget:
             phi_series(f, 2, max_products=1)
         assert calls == []
 
+    def test_odd_last_step_is_charged_per_orbit(self):
+        # x + 1/x to order 3: 2 products for f^1, the dot products f^1 . f^0
+        # (1) and f^1 . f^1 (2), then f^3 read from f^1: 2 terms times 2 orbits
+        f = LaurentPolynomial(1, {(1,): 1, (-1,): 1})
+        assert phi_series(f, 3, max_products=9).coefficients == (1, 0, 2, 0)
+        with pytest.raises(TermLimitExceeded):
+            phi_series(f, 3, max_products=8)
+
+    def test_quintic_fourfold_charge(self):
+        # 126 (P[1]) + 126 * 126 (P[2]) + 1 + 126 + 126 + 721 (dot products)
+        # + 721 * 18 (the last step over 18 orbits); forming P[3] as well
+        # would add 721 * 126
+        f = build_fx(QUINTIC_FOURFOLD)
+        expected = i_series(QUINTIC_FOURFOLD, 5).coefficients
+        assert phi_series(f, 5, max_products=29_954).coefficients == expected
+        with pytest.raises(TermLimitExceeded):
+            phi_series(f, 5, max_products=29_953)
+
     def test_default_budget_stops_a_runaway_expansion(self):
         # f has 1,716 terms; power 3 alone would form about 57M products
         with pytest.raises(TermLimitExceeded, match="term products"):
             verify_period(CompleteIntersection(6, (7,)), 7)
+
+
+class TestTermOrbits:
+    def test_quintic_fourfold(self):
+        # the four x-variables are interchangeable
+        weights = _term_orbits(build_fx(QUINTIC_FOURFOLD))
+        assert len(weights) == 18
+        assert sum(weights.values()) == 126
+
+    def test_no_interchangeable_variables(self):
+        f = LaurentPolynomial(3, {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 3, (-1, -1, -1): 1})
+        assert _term_orbits(f) == {e: 1 for e in f.terms}
+
+    def test_blocks_of_a_mirror_polynomial(self):
+        # (x1 + x2 + 1)^2 (x3 + 1)^2 / (x1 x2 x3 y) + y: only x1, x2 interchange
+        f = build_fx(CompleteIntersection(4, (3, 2)))
+        weights = _term_orbits(f)
+        assert sum(weights.values()) == f.term_count()
+        for e, weight in weights.items():
+            assert weight == (1 if e[0] == e[1] else 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_laurent_polynomials())
+    def test_property_orbits_cover_the_terms(self, f):
+        weights = _term_orbits(f)
+        assert sum(weights.values()) == len(f.terms)
+        assert all(e in f.terms for e in weights)
 
 
 class TestPhiSeries:

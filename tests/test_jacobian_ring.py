@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from fanolg import (
     CompleteIntersection,
+    SummandLimitExceeded,
     alt_dim_formula,
     binomial,
     count_monomials_oracle,
@@ -19,6 +20,7 @@ from fanolg import (
     hypersurface_corollary,
     poly_space_dim,
 )
+from fanolg import jacobian_ring
 from strategies import fano_complete_intersections
 
 CUBIC_SURFACE = CompleteIntersection(2, (3,))
@@ -178,6 +180,25 @@ class TestRingDimensions:
         for ci in fano_sweep(6, 2, 5):
             assert dim_R_prime_1(ci) >= 0
             assert dim_R_1(ci) >= 0
+
+
+class TestSummandBudget:
+    def test_limit_is_exact(self, monkeypatch):
+        # k = 3 equations: 3 inclusion-exclusions of 2^3 summands each
+        ci = CompleteIntersection(6, (2, 2, 2))
+        expected = sum(delta_j(ci, j) for j in (1, 2, 3))
+        monkeypatch.setattr(jacobian_ring, "MAX_INCLUSION_EXCLUSION_SUMMANDS", 24)
+        assert dim_R_prime_1(ci) == expected
+        monkeypatch.setattr(jacobian_ring, "MAX_INCLUSION_EXCLUSION_SUMMANDS", 23)
+        with pytest.raises(SummandLimitExceeded, match="24 summands"):
+            dim_R_prime_1(ci)
+        with pytest.raises(SummandLimitExceeded):
+            hodge_h1(ci)
+
+    def test_seventeen_equations_are_refused(self):
+        # 17 * 2^17 summands, past the default of 2^20 = 16 * 2^16
+        with pytest.raises(SummandLimitExceeded, match="2,228,224 summands"):
+            hodge_h1(CompleteIntersection(30, (2,) * 17))
 
 
 class TestAltDimFormula:
