@@ -3,10 +3,10 @@
 Every computation is exposed with machine-readable output.  Exit codes: 0 for
 success (including successful verification), 1 for a failed verification, 2
 for invalid input, 3 for an exceeded work budget (trace tree nodes or cells,
-period term products, recursion summands) and 4 for any other error; codes 2
-to 4 come with a one-line ``error:`` on stderr.  JSON output renders every
-numeric field as a decimal string, since the exact values outgrow 64-bit
-integers quickly.
+period term products, recursion or inclusion-exclusion summands) and 4 for
+any other error; codes 2 to 4 come with a one-line ``error:`` on stderr.
+JSON output renders every numeric field as a decimal string, since the exact
+values outgrow 64-bit integers quickly.
 """
 
 from __future__ import annotations

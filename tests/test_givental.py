@@ -206,7 +206,7 @@ class TestConstantTerm:
 
     def test_odd_orders_on_skewed_supports(self):
         # lo = -1, hi = 5 in the first variable: at the odd last step -(e+t)
-        # leaves the box [min(0, order*lo), max(0, order*hi)] (down to -4 at
+        # leaves the box [min(0, order*lo), max(0, order*hi)] (below -3 at
         # order 3), in a variable whose digit is not the last of the key
         cases = [
             LaurentPolynomial(1, {(5,): 1, (-1,): 2, (2,): 1}),
