@@ -10,7 +10,9 @@ whose lexicographically decreasing weight proves termination.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import getitem, mul
 from typing import Iterator, NamedTuple
 
 from .exactmath import binomial
@@ -27,7 +29,7 @@ class SummandLimitExceeded(RuntimeError):
 
 
 # Summands the recursion for F may add in one evaluation: (300, 300) needs
-# about 0.8M, (400, 400) about 1.9M.
+# about 0.8M, (400, 400) about 1.9M, (d, 1) 2d - 1.
 MAX_RECURSION_SUMMANDS = 1_000_000
 
 # Cells a resolution trace may store: each expanded chart costs len(dbar) + m + 2
@@ -50,9 +52,10 @@ def f_rec(d: int, s: int) -> int:
 
     Conventions: 0 whenever d <= 0, and 1 when s = 0 (the hypersurface is
     already smooth, its central fiber irreducible).  The recursion is evaluated
-    without Python recursion (see ``_f_states``), and raises
-    ``SummandLimitExceeded`` when it would add more than
-    ``MAX_RECURSION_SUMMANDS`` summands.
+    without Python recursion, level by level in d, each state as a dot product
+    of a binomial row with the level's G values (see ``_f_states``), and
+    raises ``SummandLimitExceeded`` when it would add more than
+    ``MAX_RECURSION_SUMMANDS`` summands; past d = 500,000 it raises at once.
     """
     if s < 0:
         raise ValueError(f"f_rec requires s >= 0, got s={s}")
@@ -60,44 +63,86 @@ def f_rec(d: int, s: int) -> int:
         return 0
     if s == 0:
         return 1
-    return _f_states(d, s)[d, s]
+    return _f_states(d, s)[d][s]
 
 
-def _f_states(d: int, s: int) -> dict[tuple[int, int], int]:
-    """F at every state (d', s') the recursion reaches from (d, s), for d, s >= 1.
+def _f_states(d: int, s: int) -> list[dict[int, int]]:
+    """F at every state (d', s') the recursion reaches from (d, s), for d, s >= 1,
+    as ``levels[d'][s']`` (``levels[0]`` is empty: no state reads level 0).
 
     The state (d', s') needs G(d', i) = F(d' - i, i) for 1 <= i <= s', and only
     for i < d', since F vanishes at d' - i <= 0; G(d', 0) = 1.  A first pass
     walks the levels d' from d down to 1 and collects the reachable s' of each
     level (the children of a level are those of its largest s'), counting one
-    summand per term before any arithmetic; a second pass evaluates the states
-    in increasing d', so every child is known before its parents.
+    summand per term before any arithmetic.  Every level holds a state and
+    every state above level 1 costs at least 2 summands, so d > 500,000 is
+    refused before any level is walked.
+
+    The second pass goes up the levels, so every child is known before its
+    parents.  At level d' it builds the vector G(d', 0..top) once, with top =
+    min(max s', d' - 1) the last term any state of the level reads, and reads
+    every state as the dot product of that vector with the binomial row
+    C(s', 0..).  Each row is built once per distinct s', only as long as the
+    highest level that holds s' needs, min(s', d' - 1) + 1 entries, so the
+    rows together hold fewer entries than the summands counted and the root's
+    s may be huge.
     """
-    reach: dict[int, set[int]] = {d: {s}}
-    levels: list[tuple[int, set[int]]] = []
+    if 2 * d - 1 > MAX_RECURSION_SUMMANDS:
+        raise _summand_limit(d, s)
+    reach: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    reach[d][s] = 0
+    levels: list[dict[int, int]] = []  # the states of each level, d first
+    rows: dict[int, list[int]] = {}
     summands = 0
     for level in range(d, 0, -1):
         states = reach.pop(level)  # every level is reached, by steps of i = 1
-        summands += sum(min(t, level - 1) + 1 for t in states)
+        high = max(states)
+        if high < level:  # every state t sums all its t + 1 terms
+            summands += sum(states) + len(states)
+        else:
+            high = level - 1
+            summands += sum(min(t, high) + 1 for t in states)
         if summands > MAX_RECURSION_SUMMANDS:
-            raise SummandLimitExceeded(
-                f"the recursion for F({d},{s}) would add more than"
-                f" {MAX_RECURSION_SUMMANDS:,} summands"
-            )
-        for i in range(1, min(max(states), level - 1) + 1):
-            reach.setdefault(level - i, set()).add(i)
-        levels.append((level, states))
+            raise _summand_limit(d, s)
+        for i in range(1, high + 1):
+            reach[level - i][i] = 0
+        # every level reaches the states 1..high, so a state is new here when
+        # it passes every earlier high, and level - i is then its highest level
+        for i in range(len(rows) + 1, high + 1):
+            rows[i] = _binomial_row(i, min(i, level - i - 1))
+        levels.append(states)
+    rows[s] = _binomial_row(s, min(s, d - 1))  # the root's level d is the highest
 
-    value: dict[tuple[int, int], int] = {}
-    for level, states in reversed(levels):
+    levels.append({})
+    levels.reverse()
+    for level in range(1, d + 1):
+        states = levels[level]
+        top = min(max(states), level - 1)
+        # one summand per choice of which x-variables vanish at the blow-up
+        # center; the empty choice, C(t, 0) * G(level, 0), is the 1
+        g = [1, *map(getitem, reversed(levels[level - top:level]), range(1, top + 1))]
         for t in states:
-            # one summand per choice of which x-variables vanish at the blow-up
-            # center; the empty choice, C(t, 0) * G(level, 0), is the 1
-            top = min(t, level - 1)
-            value[level, t] = 1 + sum(
-                binomial(t, i) * value[level - i, i] for i in range(1, top + 1)
-            )
-    return value
+            # map stops at the shorter side: g ends at min(t, level - 1) when t's
+            # row is longer than this level needs, and t's row when t < top
+            states[t] = sum(map(mul, rows[t], g))
+    return levels
+
+
+def _summand_limit(d: int, s: int) -> SummandLimitExceeded:
+    return SummandLimitExceeded(
+        f"the recursion for F({d},{s}) would add more than"
+        f" {MAX_RECURSION_SUMMANDS:,} summands"
+    )
+
+
+def _binomial_row(n: int, cap: int) -> list[int]:
+    """C(n, 0..cap) for 0 <= cap <= n, each entry from the one before."""
+    row = [1] * (cap + 1)
+    c = 1
+    for k in range(cap):
+        c = c * (n - k) // (k + 1)
+        row[k + 1] = c
+    return row
 
 
 def fg_rec(d: int, s: int) -> tuple[int, int]:
@@ -114,8 +159,8 @@ def fg_rec(d: int, s: int) -> tuple[int, int]:
         raise ValueError(f"fg_rec requires s >= 0, got s={s}")
     if s == 0:
         return 1, 1
-    value = _f_states(d, s)
-    return value[d, s], value[d - s, s] if s < d else 0
+    levels = _f_states(d, s)
+    return levels[d][s], levels[d - s][s] if s < d else 0
 
 
 def g_rec(d: int, s: int) -> int:
@@ -317,7 +362,8 @@ class ResolutionTrace:
         """``node_count`` (the tree size), then the distinct charts as ``nodes``
         (``id`` is the position, the root has id 0) and the grouped blow-up
         steps as ``edges`` between node ids, ``charts`` giving the multiplicity."""
-        ids = {node.chart: index for index, node in enumerate(self.nodes)}
+        # keyed by identity: every edge points at the shared node of its chart
+        ids = {id(node): index for index, node in enumerate(self.nodes)}
         return {
             "node_count": self.node_count,
             "nodes": [
@@ -331,8 +377,8 @@ class ResolutionTrace:
             ],
             "edges": [
                 {
-                    "parent": ids[node.chart],
-                    "child": ids[edge.node.chart],
+                    "parent": ids[id(node)],
+                    "child": ids[id(edge.node)],
                     "stratum": edge.stratum,
                     "charts": list(edge.charts),
                 }
@@ -344,7 +390,7 @@ class ResolutionTrace:
         """One box per distinct chart and one arrow per grouped blow-up step,
         labelled with its charts and its center."""
         lines = ["digraph resolution_trace {", "  node [shape=box];"]
-        ids = {node.chart: index for index, node in enumerate(self.nodes)}
+        ids = {id(node): index for index, node in enumerate(self.nodes)}
         for index, node in enumerate(self.nodes):
             dbar = ",".join(map(str, node.chart.dbar))
             weight = node.chart.weight()
@@ -354,7 +400,7 @@ class ResolutionTrace:
             )
         for node, edge in self.iter_edges():
             label = ", ".join(edge.charts) + "\\n" + edge.stratum
-            lines.append(f'  n{ids[node.chart]} -> n{ids[edge.node.chart]} [label="{label}"];')
+            lines.append(f'  n{ids[id(node)]} -> n{ids[id(edge.node)]} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines)
 

@@ -154,6 +154,21 @@ class TestFg:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "summands" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("d", ["500001", "1000000000"])
+    def test_huge_d_is_a_one_line_error(self, capsys, d):
+        code, out, err = run(capsys, "fg", "--d", d, "--s", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "summands" in err and "Traceback" not in err
+
+    def test_huge_s_answers(self, capsys):
+        code, out, _ = run(capsys, "fg", "--d", "10", "--s", "100000000", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["f_recursion"] == payload["f_closed"] == str(f_closed(10, 10**8))
+        assert payload["g_recursion"] == payload["g_closed"] == "0"
+
     def test_agreement(self, capsys):
         code, out, _ = run(capsys, "fg", "--d", "3", "--s", "2")
         assert code == 0

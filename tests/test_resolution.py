@@ -26,7 +26,8 @@ from fanolg import (
     g_rec,
     resolution_trace,
 )
-from fanolg.resolution import MAX_TRACE_CELLS
+from fanolg import resolution
+from fanolg.resolution import MAX_RECURSION_SUMMANDS, MAX_TRACE_CELLS
 
 
 def unshared_tree(chart: ChartType) -> tuple[int, set[ChartType]]:
@@ -102,6 +103,34 @@ def recursive_f(d: int, s: int) -> int:
     return sum(comb(s, i) * (1 if i == 0 else recursive_f(d - i, i)) for i in range(s + 1))
 
 
+def reachable_summands(d: int, s: int) -> int:
+    """Oracle: the summands the recursion for F(d, s) adds, counted over the
+    states (d', s') with d', s' >= 1 that ``recursive_f`` reaches from (d, s):
+    one per term i = 0..s' whose F(d' - i, i) does not vanish at d' - i <= 0,
+    so min(s', d' - 1) + 1 per state."""
+    seen, pending = set(), [(d, s)]
+    while pending:
+        state = pending.pop()
+        if state not in seen:
+            seen.add(state)
+            level, t = state
+            pending.extend((level - i, i) for i in range(1, min(t, level - 1) + 1))
+    return sum(min(t, level - 1) + 1 for level, t in seen)
+
+
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak, in bytes, of ``fn(*args)``, which may raise."""
+    tracemalloc.start()
+    try:
+        try:
+            fn(*args)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 class TestCountingFunctions:
     def test_f_fixtures(self):
         assert f_rec(3, 1) == 3
@@ -151,9 +180,15 @@ class TestCountingFunctions:
                 assert f_rec(d, s) == f_closed(d, s), (d, s)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(-2, 60), st.integers(0, 60))
+    @given(st.integers(-2, 150), st.integers(0, 150))
     def test_property_equals_plain_recursion(self, d, s):
         assert f_rec(d, s) == recursive_f(d, s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 10**9))
+    def test_property_huge_s_small_d(self, d, s):
+        # no binomial row runs to s: the root's row stops at min(s, d - 1)
+        assert fg_rec(d, s) == (f_closed(d, s), g_closed(d, s))
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 60), st.integers(0, 60))
@@ -173,12 +208,38 @@ class TestCountingFunctions:
 
     def test_summand_budget(self):
         # (400, 400) reaches about 1.9M summands, past the budget of 1M
+        assert reachable_summands(400, 400) > MAX_RECURSION_SUMMANDS
         with pytest.raises(SummandLimitExceeded, match="summands"):
             f_rec(400, 400)
         with pytest.raises(SummandLimitExceeded):
             g_rec(800, 400)
         with pytest.raises(SummandLimitExceeded):
             fg_rec(400, 400)
+
+    @pytest.mark.parametrize("d, s, count", [(60, 60, 7704), (120, 56, 47904), (3000, 1, 5999)])
+    def test_summand_budget_is_exact(self, monkeypatch, d, s, count):
+        assert reachable_summands(d, s) == count
+        monkeypatch.setattr(resolution, "MAX_RECURSION_SUMMANDS", count)
+        assert fg_rec(d, s) == (f_closed(d, s), g_closed(d, s))
+        monkeypatch.setattr(resolution, "MAX_RECURSION_SUMMANDS", count - 1)
+        with pytest.raises(SummandLimitExceeded, match=f"more than {count - 1:,} summands"):
+            fg_rec(d, s)
+
+    def test_deepest_chain_within_budget(self):
+        # every level of (d, 1) holds the one state s' = 1: 2d - 1 = 999,997 summands
+        assert fg_rec(499999, 1) == (499999, 499998)
+
+    @pytest.mark.parametrize("d", [500001, 10**9])
+    def test_huge_d_is_refused_at_once(self, d):
+        # 2d - 1 summands at least, one state per level: refused before any level
+        def refused():
+            with pytest.raises(SummandLimitExceeded, match="summands"):
+                f_rec(d, 1)
+
+        assert traced_peak(refused) < 2**20
+
+    def test_memory_of_a_large_square(self):
+        assert traced_peak(fg_rec, 300, 300) < 6 * 2**20
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
