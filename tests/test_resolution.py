@@ -119,16 +119,13 @@ def reachable_summands(d: int, s: int) -> int:
 
 
 def traced_peak(fn, *args) -> int:
-    """The tracemalloc peak, in bytes, of ``fn(*args)``, which may raise."""
+    """The tracemalloc peak, in bytes, of ``fn(*args)``."""
     tracemalloc.start()
     try:
-        try:
-            fn(*args)
-        finally:
-            peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak
 
 
 class TestCountingFunctions:
