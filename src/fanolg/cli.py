@@ -3,17 +3,20 @@
 Every computation is exposed with machine-readable output.  Exit codes: 0 for
 success (including successful verification), 1 for a failed verification, 2
 for invalid input, 3 for an exceeded work budget (trace tree nodes or cells,
-period term products, recursion or inclusion-exclusion summands) and 4 for
-any other error; codes 2 to 4 come with a one-line ``error:`` on stderr.
+period term products, recursion or inclusion-exclusion summands, strata) and
+4 for any other error; codes 2 to 4 come with a one-line ``error:`` on stderr.
 JSON output renders every numeric field as a decimal string, since the exact
-values outgrow 64-bit integers quickly.
+values outgrow 64-bit integers quickly; ``_render_json`` writes it in one pass.
+
+Each run builds the parser of the subcommand it names and no other (see
+``_build_parser``); the subcommands live in one table, ``_COMMANDS``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Sequence
 
 from .givental import TermLimitExceeded, verify_period
@@ -41,21 +44,61 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     return values
 
 
-def _stringify(obj):
-    """Render every int in a JSON payload as a decimal string (bools excluded)."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_stringify(x) for x in obj]
-    if isinstance(obj, dict):
-        return {key: _stringify(value) for key, value in obj.items()}
-    return obj
+def _render_json(payload) -> str:
+    """``payload`` as ``json.dumps`` prints it with ``indent=2``, except that
+    every int (bools excluded) is rendered as a decimal string.
+
+    ``json.dumps`` runs its pure-Python encoder whenever it indents, and
+    turning the ints into strings first copies the whole payload; one
+    recursive pass writes the text directly instead.  A payload holds str,
+    int, bool and None values, lists, tuples and dicts with str keys.
+    """
+    parts: list[str] = []
+    _render(payload, "\n", parts.append)
+    return "".join(parts)
+
+
+def _render(obj, newline: str, write) -> None:
+    if isinstance(obj, str):
+        write(_encode_str(obj))
+    elif obj is None:
+        write("null")
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif isinstance(obj, int):
+        write(f'"{obj}"')
+    elif isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, value in obj.items():
+            write(separator)
+            write(_encode_str(key))
+            write(": ")
+            _render(value, inner, write)
+            separator = "," + inner
+        write(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for value in obj:
+            write(separator)
+            _render(value, inner, write)
+            separator = "," + inner
+        write(newline + "]")
+    else:
+        raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(_stringify(payload), indent=2))
+    print(_render_json(payload))
 
 
 def _make_ci(args: argparse.Namespace) -> CompleteIntersection:
@@ -219,7 +262,7 @@ def _cmd_resolve_trace(args: argparse.Namespace) -> int:
     if args.format == "dot":
         print(trace.to_dot())
     else:
-        print(json.dumps(_stringify(trace.to_json_dict()), indent=2))
+        _emit_json(trace.to_json_dict())
     return 0
 
 
@@ -235,56 +278,42 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fanolg",
-        description=(
-            "Exact computations for Fano complete intersections: Hodge numbers,"
-            " central-fiber component counts of the compactified mirror model,"
-            " period verification, and resolution bookkeeping."
-        ),
+def _add_ci_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--dim", type=int, required=True, help="dimension of the variety")
+    p.add_argument(
+        "--degrees", required=True, help="comma-separated hypersurface degrees, e.g. 2,3"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_ci_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--dim", type=int, required=True, help="dimension of the variety")
-        p.add_argument(
-            "--degrees", required=True, help="comma-separated hypersurface degrees, e.g. 2,3"
-        )
 
-    p = sub.add_parser("hodge", help="Hodge number h^{1,N-1} and the ring dimensions")
-    add_ci_flags(p)
+def _add_format_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(run=_cmd_hodge)
 
-    p = sub.add_parser("klg", help="central-fiber component count of the mirror model")
-    add_ci_flags(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+
+def _add_ci_args(p: argparse.ArgumentParser) -> None:
+    _add_ci_flags(p)
+    _add_format_flag(p)
+
+
+def _add_klg_args(p: argparse.ArgumentParser) -> None:
+    _add_ci_args(p)
     p.add_argument("--strata", action="store_true", help="list each stratum that carries divisors")
-    p.set_defaults(run=_cmd_klg)
 
-    p = sub.add_parser("verify", help="check h^{1,N-1} against k_LG (exit 1 on failure)")
-    add_ci_flags(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(run=_cmd_verify)
 
-    p = sub.add_parser("periods", help="constant-term expansion vs closed-form series")
-    add_ci_flags(p)
+def _add_periods_args(p: argparse.ArgumentParser) -> None:
+    _add_ci_flags(p)
     p.add_argument(
         "--order", type=int, default=None, help="truncation order (default: 3 * index)"
     )
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(run=_cmd_periods)
+    _add_format_flag(p)
 
-    p = sub.add_parser("fg", help="F(d,s) and G(d,s) by recursion and closed form")
+
+def _add_fg_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(run=_cmd_fg)
+    _add_format_flag(p)
 
-    p = sub.add_parser(
-        "resolve-trace", help="blow-up rewriting of a local model, one node per distinct chart"
-    )
+
+def _add_resolve_trace_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dbar", required=True, help="comma-separated exponents, e.g. 3,2")
     p.add_argument("--s", type=int, required=True, help="number of x-variables")
     p.add_argument(
@@ -294,21 +323,72 @@ def _build_parser() -> argparse.ArgumentParser:
         help="budget on the nodes of the rewriting tree, shared subtrees counted each time",
     )
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(run=_cmd_resolve_trace)
 
-    p = sub.add_parser("sweep", help="CSV table over a range of Fano complete intersections")
+
+def _add_sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-dim", type=int, default=2)
     p.add_argument("--max-dim", type=int, default=8)
     p.add_argument("--max-k", type=int, default=3)
     p.add_argument("--max-degree", type=int, default=6)
-    p.set_defaults(run=_cmd_sweep)
 
+
+# name -> (help, adds the subcommand's arguments, runs it), in the order of --help
+_COMMANDS = {
+    "hodge": ("Hodge number h^{1,N-1} and the ring dimensions", _add_ci_args, _cmd_hodge),
+    "klg": ("central-fiber component count of the mirror model", _add_klg_args, _cmd_klg),
+    "verify": ("check h^{1,N-1} against k_LG (exit 1 on failure)", _add_ci_args, _cmd_verify),
+    "periods": (
+        "constant-term expansion vs closed-form series", _add_periods_args, _cmd_periods
+    ),
+    "fg": ("F(d,s) and G(d,s) by recursion and closed form", _add_fg_args, _cmd_fg),
+    "resolve-trace": (
+        "blow-up rewriting of a local model, one node per distinct chart",
+        _add_resolve_trace_args,
+        _cmd_resolve_trace,
+    ),
+    "sweep": (
+        "CSV table over a range of Fano complete intersections", _add_sweep_args, _cmd_sweep
+    ),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with ``command`` alone.
+
+    A parser for one subcommand prints the same text as the full one for any
+    command line that starts with that subcommand: the only place where the
+    other subcommands show is the usage line of the top-level parser (after a
+    trailing extra argument, say), and ``metavar`` writes them there.  Lines
+    that do not start with a subcommand (help, no command, an unknown one)
+    need the full parser, whose ``invalid choice`` error names ``command``.
+    """
+    parser = argparse.ArgumentParser(
+        prog="fanolg",
+        description=(
+            "Exact computations for Fano complete intersections: Hodge numbers,"
+            " central-fiber component counts of the compactified mirror model,"
+            " period verification, and resolution bookkeeping."
+        ),
+    )
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = list(_COMMANDS)
+    else:
+        metavar = "{" + ",".join(_COMMANDS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+        names = [command]
+    for name in names:
+        help_text, add_arguments, run = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(run=run)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         return args.run(args)
     except (NodeLimitExceeded, TermLimitExceeded, SummandLimitExceeded) as exc:

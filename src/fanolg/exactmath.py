@@ -6,6 +6,7 @@ overflows, or touches floating point.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 from typing import Iterator, Sequence
 
@@ -30,6 +31,19 @@ def capped_vectors(
             for i in range(min(cap, bound - s) + 1)
         ]
     yield from level
+
+
+def count_capped_vectors(caps: Sequence[int], bound: int) -> int:
+    """How many vectors ``capped_vectors(caps, bound)`` yields, without listing
+    them: ways[s] counts the prefixes of sum s, extended one cap at a time by a
+    sliding window over prefix sums, in O(len(caps) * bound) additions."""
+    if bound < 0:
+        return 0
+    ways = [1] + [0] * bound
+    for cap in caps:
+        prefix = [0, *accumulate(ways)]
+        ways = [prefix[s + 1] - prefix[max(0, s - cap)] for s in range(bound + 1)]
+    return sum(ways)
 
 
 def binomial(n: int, k: int) -> int:

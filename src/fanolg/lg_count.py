@@ -10,12 +10,20 @@ main comparison checks against the Hodge number h^{1,N-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Literal, NamedTuple
 
-from .exactmath import binomial, capped_vectors
+from .exactmath import binomial, capped_vectors, count_capped_vectors
 from .jacobian_ring import dim_R_1, hodge_h1
-from .resolution import g_closed
+from .resolution import SummandLimitExceeded, g_closed
 from .varieties import CompleteIntersection
+
+# What one stratum enumeration may cost: each listed stratum counts 1 and each
+# j the (bound + 1) * d_j bits of its divisor row G(d_j, l..d_j - 1).  Eight
+# equations of degree 20 in dimension 153 (12,498,200 strata) and hypersurfaces
+# of degree 1,000 or more are refused; nine equations of degree 12 in
+# dimension 100 (831,402 strata, about 6 s) stay inside.
+MAX_STRATA_COST = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -76,14 +84,34 @@ def enumerate_strata(ci: CompleteIntersection) -> list[StratumContribution]:
     i_1 + ... + i_k <= d_j - 1 - l are enumerated, and every listed stratum
     carries at least one divisor.  Labels come in ``itertools.product`` order
     for each j in turn.
+
+    Raises ``SummandLimitExceeded`` before listing anything when the strata
+    plus the bits of the divisor rows would cost more than
+    ``MAX_STRATA_COST``.  The strata of each j are charged C(bound + k, k),
+    their count with the caps ignored, and counted exactly only when those
+    bounds do not fit.
     """
-    out: list[StratumContribution] = []
     l = ci.l
-    rows = [[binomial(d, i) for i in range(d)] for d in ci.degrees]
-    for j in range(1, ci.k + 1):
-        dj = ci.degrees[j - 1]
-        caps = [d - 2 if t + 1 == j else d - 1 for t, d in enumerate(ci.degrees)]
+    plans = []
+    for j, dj in enumerate(ci.degrees, 1):
         bound = dj - 1 - l
+        if bound >= 0:
+            caps = [d - 2 if t == j else d - 1 for t, d in enumerate(ci.degrees, 1)]
+            plans.append((j, dj, caps, bound))
+    bits = sum((bound + 1) * dj for _, dj, _, bound in plans)
+    cost = bits + sum(comb(bound + ci.k, ci.k) for *_, bound in plans)
+    if cost > MAX_STRATA_COST and bits <= MAX_STRATA_COST:
+        cost = bits + sum(
+            count_capped_vectors(caps, bound) - (l == 0) for *_, caps, bound in plans
+        )
+    if cost > MAX_STRATA_COST:
+        raise SummandLimitExceeded(
+            f"the strata of {ci} would cost more than {MAX_STRATA_COST:,}"
+            " (one per stratum plus the bits of the divisor counts)"
+        )
+    out: list[StratumContribution] = []
+    rows = [[binomial(d, i) for i in range(d)] for d in ci.degrees]
+    for j, dj, caps, bound in plans:
         g_row = [g_closed(dj, s + l) for s in range(bound + 1)]
         for ivec, s in capped_vectors(caps, bound):
             if l == 0 and s == 0:
