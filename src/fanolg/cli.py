@@ -370,14 +370,9 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
             " period verification, and resolution bookkeeping."
         ),
     )
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-        names = list(_COMMANDS)
-    else:
-        metavar = "{" + ",".join(_COMMANDS) + "}"
-        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-        names = [command]
-    for name in names:
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
         help_text, add_arguments, run = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         add_arguments(p)

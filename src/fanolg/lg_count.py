@@ -20,9 +20,9 @@ from .varieties import CompleteIntersection
 
 # What one stratum enumeration may cost: each listed stratum counts 1 and each
 # j the (bound + 1) * d_j bits of its divisor row G(d_j, l..d_j - 1).  Eight
-# equations of degree 20 in dimension 153 (12,498,200 strata) and hypersurfaces
-# of degree 1,000 or more are refused; nine equations of degree 12 in
-# dimension 100 (831,402 strata, about 6 s) stay inside.
+# equations of degree 20 in dimension 153 (12,498,200 strata) and index-1
+# hypersurfaces of degree 1,000 or more are refused; nine equations of degree
+# 12 in dimension 100 (831,402 strata, about 6 s) stay inside.
 MAX_STRATA_COST = 1_000_000
 
 

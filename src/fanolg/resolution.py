@@ -25,7 +25,8 @@ class NodeLimitExceeded(RuntimeError):
 class SummandLimitExceeded(RuntimeError):
     """Raised when an exact sum would add more summands than its budget: the
     recursion for F here, the inclusion-exclusion of
-    ``jacobian_ring.dim_R_prime_1``."""
+    ``jacobian_ring.dim_R_prime_1`` and the strata of
+    ``lg_count.enumerate_strata``."""
 
 
 # Summands the recursion for F may add in one evaluation: (300, 300) needs

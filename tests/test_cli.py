@@ -1,9 +1,19 @@
 """End-to-end tests of the command-line interface and its output contracts."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fanolg
+from fanolg import cli
 from fanolg import (
     CompleteIntersection,
     f_closed,
@@ -15,11 +25,15 @@ from fanolg import (
     verify_main_theorem,
     verify_period,
 )
-from fanolg.cli import main
+from fanolg.cli import _render_json, main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit, stdout, stderr) of one command line, argparse exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -102,6 +116,22 @@ class TestKlg:
         assert payload["contributions"] == [
             {"j": "1", "ivec": ["1"], "multiplicity": "3", "divisors": "2"}
         ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--dim", "153", "--degrees", ",".join(["20"] * 8)),
+            ("klg", "--dim", "200000", "--degrees", "200001"),
+        ],
+    )
+    def test_strata_budget_exceeded_is_a_one_line_error(self, capsys, argv):
+        # 12,498,200 strata; a hypersurface whose divisors reach 200,000 bits
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: the strata of") and err.count("\n") == 1
 
     def test_json_without_strata_flag_omits_breakdown(self, capsys):
         code, out, _ = run(capsys, "klg", "--dim", "2", "--degrees", "3", "--format", "json")
@@ -323,6 +353,17 @@ class TestJsonRoundTrip:
             c.divisors for c in report.contributions
         ]
 
+    def test_klg_without_contributing_strata(self, capsys):
+        payload = self.check(capsys, "klg", "--dim", "3", "--degrees", "2", "--strata")
+        assert payload["k_lg"] == "0"
+        assert payload["contributions"] == []
+
+    def test_resolve_trace(self, capsys):
+        payload = self.check(capsys, "resolve-trace", "--dbar", "6,6,6", "--s", "6")
+        assert payload["node_count"] == "7231"
+        assert len(payload["nodes"]) == 679
+        assert payload["nodes"][3]["dbar"] == []
+
     def test_verify(self, capsys):
         payload = self.check(capsys, "verify", "--dim", "30", "--degrees", "31")
         report = verify_main_theorem(CompleteIntersection(30, (31,)))
@@ -369,3 +410,118 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main(["hodge", "--dim", "3"])
         assert exc.value.code == 2
+
+
+def _stringify(obj):
+    """Every int of a payload as a decimal string (bools excluded): with
+    ``json.dumps(..., indent=2)``, the reference for ``_render_json``."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_stringify(x) for x in obj]
+    if isinstance(obj, dict):
+        return {key: _stringify(value) for key, value in obj.items()}
+    return obj
+
+
+# quotes, backslashes, control characters and non-ASCII text, among any others
+awkward_text = st.text(
+    st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600') | st.characters()
+)
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | awkward_text
+)
+payloads = st.recursive(
+    scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(awkward_text, children, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestRenderJson:
+    @settings(max_examples=200, deadline=None)
+    @given(payloads)
+    def test_equals_json_dumps_of_stringified_payload(self, payload):
+        assert _render_json(payload) == json.dumps(_stringify(payload), indent=2)
+
+    def test_rejects_other_types(self):
+        with pytest.raises(TypeError):
+            _render_json({"x": 1.5})
+
+
+CI = ("--dim", "3", "--degrees", "3")
+COMMANDS = ("hodge", "klg", "verify", "periods", "fg", "resolve-trace", "sweep")
+IDENTITY_ARGV = [
+    *[(command, *CI, *fmt) for command in ("hodge", "verify", "periods")
+      for fmt in ((), ("--format", "text"), ("--format", "json"))],
+    ("klg", *CI), ("klg", *CI, "--strata"), ("klg", *CI, "--strata", "--format", "json"),
+    ("fg", "--d", "3", "--s", "2"), ("fg", "--d", "3", "--s", "2", "--format", "json"),
+    ("resolve-trace", "--dbar", "3,2", "--s", "2"),
+    ("resolve-trace", "--dbar", "3,2", "--s", "2", "--format", "dot"),
+    ("sweep", "--max-dim", "4", "--max-k", "2", "--max-degree", "3"),
+    ("-h",), *[(command, "-h") for command in COMMANDS],
+    (),
+    ("frobnicate",),
+    ("hodge", "--dim", "3"),
+    ("hodge", *CI, "extra"),
+    ("hodge", *CI, "--format", "xml"),
+    ("resolve-trace", "--dbar", "3", "--s", "1", "--format", "text"),
+]
+
+
+class TestOneSubparser:
+    """Building only the named subcommand's parser changes no output."""
+
+    @pytest.mark.parametrize("argv", IDENTITY_ARGV, ids=lambda argv: " ".join(argv) or "none")
+    def test_same_output_as_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        built = []
+        build = cli._build_parser
+
+        def recording(command=None):
+            built.append(command)
+            return build(command)
+
+        monkeypatch.setattr(cli, "_build_parser", recording)
+        shipped = run(capsys, *argv)
+        assert built == [argv[0] if argv and argv[0] in COMMANDS else None]
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
+        assert run(capsys, *argv) == shipped
+
+
+class TestEntryPoint:
+    """``python -m fanolg.cli`` in a fresh interpreter, reading ``sys.argv``."""
+
+    def fanolg(self, *argv):
+        src = str(Path(fanolg.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "COLUMNS": "80"}
+        return subprocess.run(
+            [sys.executable, "-m", "fanolg.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_command(self):
+        done = self.fanolg("fg", "--d", "3", "--s", "2")
+        assert done.returncode == 0
+        assert "F(3,2): recursion 6, closed form 6" in done.stdout
+
+    def test_help_lists_every_command(self):
+        done = self.fanolg("--help")
+        assert done.returncode == 0
+        assert re.findall(r"^    (\S+)", done.stdout, re.M) == list(COMMANDS)
+
+    def test_missing_flag(self):
+        done = self.fanolg("hodge", "--dim", "3")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("usage: fanolg hodge [-h] --dim DIM --degrees DEGREES")
+        assert "the following arguments are required: --degrees" in done.stderr

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanolg import binomial, capped_vectors, convolution_identity_sides, multinomial
+from fanolg.exactmath import count_capped_vectors
 
 
 def naive_lhs(dbar, e, l):
@@ -51,7 +52,9 @@ class TestCappedVectors:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(0, 6), max_size=5), st.integers(-3, 20))
     def test_property_equals_filtered_product(self, caps, bound):
-        assert list(capped_vectors(caps, bound)) == filtered_product(caps, bound)
+        expected = filtered_product(caps, bound)
+        assert list(capped_vectors(caps, bound)) == expected
+        assert count_capped_vectors(caps, bound) == len(expected)
 
 
 class TestBinomial:

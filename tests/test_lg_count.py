@@ -3,6 +3,7 @@
 from itertools import product
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 
 from fanolg import (
@@ -19,6 +20,8 @@ from fanolg import (
     k_lg_closed,
     verify_main_theorem,
 )
+from fanolg import lg_count
+from fanolg.resolution import SummandLimitExceeded
 from strategies import fano_complete_intersections
 
 CUBIC_SURFACE = CompleteIntersection(2, (3,))
@@ -85,6 +88,32 @@ class TestEnumerateStrata:
         expected = [c for c in unpruned_strata(ci) if c.divisors != 0]
         assert enumerate_strata(ci) == expected
         assert all(c.divisors > 0 for c in expected)
+
+
+class TestStrataBudget:
+    def test_exact_boundary(self, monkeypatch):
+        # index 1 (the zero label is dropped) and caps that bind (i_1 <= 1 for
+        # j = 2, 3): C(bound + k, k) over-counts, so the exact count decides
+        ci = CompleteIntersection(7, (3, 3, 4))
+        strata = enumerate_strata(ci)
+        bounds = [d - 1 - ci.l for d in ci.degrees]
+        assert sum(comb(b + ci.k, ci.k) for b in bounds) > len(strata)
+        cost = len(strata) + sum((b + 1) * d for b, d in zip(bounds, ci.degrees))
+        monkeypatch.setattr(lg_count, "MAX_STRATA_COST", cost)
+        assert enumerate_strata(ci) == strata
+        monkeypatch.setattr(lg_count, "MAX_STRATA_COST", cost - 1)
+        with pytest.raises(SummandLimitExceeded, match=f"more than {cost - 1}"):
+            enumerate_strata(ci)
+
+    def test_divisor_bits_are_charged(self):
+        # 999 * 999 bits and 997 strata fit; one degree more passes 1,000,000
+        assert len(enumerate_strata(CompleteIntersection(998, (999,)))) == 997
+        with pytest.raises(SummandLimitExceeded, match="1,000,000"):
+            enumerate_strata(CompleteIntersection(999, (1000,)))
+
+    def test_sweep_is_inside_the_budget(self):
+        for ci in fano_sweep(16, 5, 10):
+            assert k_lg(ci).k_lg == dim_R_1(ci), ci
 
 
 class TestKlg:
