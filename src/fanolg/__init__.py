@@ -8,12 +8,17 @@ checks the period condition of the mirror Laurent polynomial by exact series
 expansion.  All arithmetic is exact integer arithmetic.
 """
 
-from .exactmath import binomial, capped_vectors, convolution_identity_sides, multinomial
+from .exactmath import (
+    BudgetExceeded,
+    binomial,
+    capped_vectors,
+    convolution_identity_sides,
+    multinomial,
+)
 from .givental import (
     LaurentPolynomial,
     PeriodReport,
     PowerSeries,
-    TermLimitExceeded,
     build_fx,
     constant_term,
     i_series,
@@ -34,7 +39,6 @@ from .jacobian_ring import (
 from .lg_count import (
     KlgReport,
     StratumContribution,
-    StratumLabel,
     TheoremReport,
     enumerate_strata,
     k_lg,
@@ -44,9 +48,7 @@ from .lg_count import (
 from .resolution import (
     ChartEdge,
     ChartType,
-    NodeLimitExceeded,
     ResolutionTrace,
-    SummandLimitExceeded,
     TraceEdge,
     TraceNode,
     chart_children,
@@ -65,6 +67,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CompleteIntersection",
     "fano_sweep",
+    "BudgetExceeded",
     "binomial",
     "multinomial",
     "capped_vectors",
@@ -81,7 +84,6 @@ __all__ = [
     "LaurentPolynomial",
     "PowerSeries",
     "PeriodReport",
-    "TermLimitExceeded",
     "build_fx",
     "constant_term",
     "phi_series",
@@ -92,8 +94,6 @@ __all__ = [
     "TraceNode",
     "TraceEdge",
     "ResolutionTrace",
-    "NodeLimitExceeded",
-    "SummandLimitExceeded",
     "f_rec",
     "g_rec",
     "fg_rec",
@@ -102,7 +102,6 @@ __all__ = [
     "f_multi",
     "chart_children",
     "resolution_trace",
-    "StratumLabel",
     "StratumContribution",
     "KlgReport",
     "TheoremReport",

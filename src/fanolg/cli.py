@@ -2,14 +2,22 @@
 
 Every computation is exposed with machine-readable output.  Exit codes: 0 for
 success (including successful verification), 1 for a failed verification, 2
-for invalid input, 3 for an exceeded work budget (trace tree nodes or cells,
-period term products, recursion or inclusion-exclusion summands, strata) and
-4 for any other error; codes 2 to 4 come with a one-line ``error:`` on stderr.
-JSON output renders every numeric field as a decimal string, since the exact
-values outgrow 64-bit integers quickly; ``_render_json`` writes it in one pass.
+for invalid input, 3 for an exceeded work budget (``BudgetExceeded``: trace
+tree nodes or cells, period term products, recursion or inclusion-exclusion
+summands, strata) and 4 for any other error; codes 2 to 4 come with a one-line
+``error:`` on stderr and nothing on stdout.
+
+Each subcommand returns its exit code and one payload, and ``main`` renders
+the payload whole through one of the command's views (text, JSON, DOT or CSV)
+before writing any of it, so an answer is printed whole or not at all.  Exact
+answers may pass the 4,300 digits ``str(int)`` allows by default, so the limit
+is lifted while a payload is rendered.  JSON output renders every numeric
+field as a decimal string, since the exact values outgrow 64-bit integers
+quickly; ``_render_json`` writes it in one pass.
 
 Each run builds the parser of the subcommand it names and no other (see
-``_build_parser``); the subcommands live in one table, ``_COMMANDS``.
+``_build_parser``); the subcommands live in one table, ``_COMMANDS``, and
+their views in another, ``_VIEWS``.
 """
 
 from __future__ import annotations
@@ -19,13 +27,13 @@ import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Sequence
 
-from .givental import TermLimitExceeded, verify_period
+from .exactmath import BudgetExceeded
+from .givental import verify_period
 from .jacobian_ring import hodge_h1
 from .lg_count import k_lg, verify_main_theorem
 from .resolution import (
     ChartType,
-    NodeLimitExceeded,
-    SummandLimitExceeded,
+    ResolutionTrace,
     f_closed,
     fg_rec,
     g_closed,
@@ -97,185 +105,172 @@ def _render(obj, newline: str, write) -> None:
         raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
-def _emit_json(payload: dict) -> None:
-    print(_render_json(payload))
-
-
 def _make_ci(args: argparse.Namespace) -> CompleteIntersection:
     degrees = _parse_int_list(args.degrees, "degrees")
     return CompleteIntersection(args.dim, degrees)
 
 
-def _cmd_hodge(args: argparse.Namespace) -> int:
+def _cmd_hodge(args: argparse.Namespace) -> tuple[int, dict]:
     ci = _make_ci(args)
     report = hodge_h1(ci)
-    if args.format == "json":
-        _emit_json(
-            {
-                "dim": ci.dim,
-                "degrees": list(ci.degrees),
-                "index": report.index,
-                "dim_R_prime": report.dim_R_prime,
-                "dim_R": report.dim_R,
-                "h_pr": report.h_pr,
-                "h": report.h,
-            }
-        )
-    else:
-        print(f"complete intersection: {ci}")
-        print(f"index                : {report.index}")
-        print(f"dim R'               : {report.dim_R_prime}")
-        print(f"dim R                : {report.dim_R}")
-        print(f"h_pr^(1,{ci.dim - 1})           : {report.h_pr}")
-        print(f"h^(1,{ci.dim - 1})              : {report.h}")
-    return 0
+    return 0, {
+        "dim": ci.dim,
+        "degrees": list(ci.degrees),
+        "index": report.index,
+        "dim_R_prime": report.dim_R_prime,
+        "dim_R": report.dim_R,
+        "h_pr": report.h_pr,
+        "h": report.h,
+    }
 
 
-def _cmd_klg(args: argparse.Namespace) -> int:
+def _cmd_klg(args: argparse.Namespace) -> tuple[int, dict]:
     ci = _make_ci(args)
     report = k_lg(ci)
-    if args.format == "json":
-        payload = {
-            "dim": ci.dim,
-            "degrees": list(ci.degrees),
-            "k_lg": report.k_lg,
-            "central_fiber_components": report.central_fiber_components,
-            "branch": report.branch,
-        }
-        if args.strata:
-            payload["contributions"] = [
-                {
-                    "j": c.label.j,
-                    "ivec": list(c.label.ivec),
-                    "multiplicity": c.multiplicity,
-                    "divisors": c.divisors,
-                }
-                for c in report.contributions
-            ]
-        _emit_json(payload)
-    else:
-        print(f"complete intersection    : {ci}")
-        print(f"branch                   : {report.branch}")
-        print(f"k_lg                     : {report.k_lg}")
-        print(f"central fiber components : {report.central_fiber_components}")
-        if args.strata:
-            for c in report.contributions:
-                ivec = ",".join(map(str, c.label.ivec))
-                print(
-                    f"  stratum j={c.label.j} ivec=({ivec})"
-                    f" multiplicity={c.multiplicity} divisors={c.divisors}"
-                )
-    return 0
+    payload = {
+        "dim": ci.dim,
+        "degrees": list(ci.degrees),
+        "k_lg": report.k_lg,
+        "central_fiber_components": report.central_fiber_components,
+        "branch": report.branch,
+    }
+    if args.strata:
+        payload["contributions"] = [c._asdict() for c in report.contributions]
+    return 0, payload
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     ci = _make_ci(args)
     report = verify_main_theorem(ci)
-    if args.format == "json":
-        _emit_json(
-            {
-                "dim": ci.dim,
-                "degrees": list(ci.degrees),
-                "holds": report.holds,
-                "h": report.h,
-                "h_pr": report.h_pr,
-                "k_lg": report.k_lg,
-            }
-        )
-    else:
-        verdict = "holds" if report.holds else "FAILS"
-        print(
-            f"{ci}: h = {report.h}, h_pr = {report.h_pr}, k_lg = {report.k_lg}"
-            f" -> comparison {verdict}"
-        )
-    return 0 if report.holds else 1
+    return 0 if report.holds else 1, {
+        "dim": ci.dim,
+        "degrees": list(ci.degrees),
+        "holds": report.holds,
+        "h": report.h,
+        "h_pr": report.h_pr,
+        "k_lg": report.k_lg,
+    }
 
 
-def _cmd_periods(args: argparse.Namespace) -> int:
+def _cmd_periods(args: argparse.Namespace) -> tuple[int, dict]:
     ci = _make_ci(args)
     order = args.order if args.order is not None else 3 * ci.index
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     report = verify_period(ci, order)
-    if args.format == "json":
-        _emit_json(
-            {
-                "dim": ci.dim,
-                "degrees": list(ci.degrees),
-                "order": order,
-                "match": report.match,
-                "first_mismatch": report.first_mismatch,
-                "alpha": report.i0.alpha,
-                "constant_terms": list(report.phi.coefficients),
-                "closed_form": list(report.i0.coefficients),
-            }
-        )
-    else:
-        print(f"complete intersection: {ci}   (order {order})")
-        width = max(
-            [len("constant term")]
-            + [len(str(c)) for c in report.phi.coefficients + report.i0.coefficients]
-        )
-        print(f"{'n':>4}  {'constant term':>{width}}  {'closed form':>{width}}")
-        for n in range(order + 1):
-            print(
-                f"{n:>4}  {report.phi.coefficients[n]:>{width}}"
-                f"  {report.i0.coefficients[n]:>{width}}"
-            )
-        if report.match:
-            print(f"period condition verified up to order {order}")
-        else:
-            print(f"MISMATCH at order {report.first_mismatch}")
-    return 0 if report.match else 1
+    return 0 if report.match else 1, {
+        "dim": ci.dim,
+        "degrees": list(ci.degrees),
+        "order": order,
+        "match": report.match,
+        "first_mismatch": report.first_mismatch,
+        "alpha": report.i0.alpha,
+        "constant_terms": list(report.phi.coefficients),
+        "closed_form": list(report.i0.coefficients),
+    }
 
 
-def _cmd_fg(args: argparse.Namespace) -> int:
+def _cmd_fg(args: argparse.Namespace) -> tuple[int, dict]:
     d, s = args.d, args.s
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
     f_recursion, g_recursion = fg_rec(d, s)
-    values = {
+    payload = {
+        "d": d,
+        "s": s,
         "f_recursion": f_recursion,
         "f_closed": f_closed(d, s),
         "g_recursion": g_recursion,
         "g_closed": g_closed(d, s),
     }
-    agree = (
-        values["f_recursion"] == values["f_closed"]
-        and values["g_recursion"] == values["g_closed"]
-    )
-    if args.format == "json":
-        _emit_json({"d": d, "s": s, **values, "agree": agree})
-    else:
-        print(f"F({d},{s}): recursion {values['f_recursion']}, closed form {values['f_closed']}")
-        print(f"G({d},{s}): recursion {values['g_recursion']}, closed form {values['g_closed']}")
-        print(f"agreement: {'yes' if agree else 'NO'}")
-    return 0 if agree else 1
+    payload["agree"] = f_recursion == payload["f_closed"] and g_recursion == payload["g_closed"]
+    return 0 if payload["agree"] else 1, payload
 
 
-def _cmd_resolve_trace(args: argparse.Namespace) -> int:
+def _cmd_resolve_trace(args: argparse.Namespace) -> tuple[int, ResolutionTrace]:
     dbar = _parse_int_list(args.dbar, "dbar")
-    chart = ChartType(dbar, args.s)
-    trace = resolution_trace(chart, node_limit=args.node_limit)
-    if args.format == "dot":
-        print(trace.to_dot())
-    else:
-        _emit_json(trace.to_json_dict())
-    return 0
+    return 0, resolution_trace(ChartType(dbar, args.s), node_limit=args.node_limit)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    print("N,degrees,index,h_pr,h,k_lg,theorem_holds")
-    for ci in fano_sweep(args.max_dim, args.max_k, args.max_degree, min_dim=args.min_dim):
-        report = verify_main_theorem(ci)
-        degrees = "-".join(map(str, ci.degrees))
-        holds = "true" if report.holds else "false"
-        print(
-            f"{ci.dim},{degrees},{ci.index},{report.h_pr},{report.h},{report.k_lg},{holds}"
+def _cmd_sweep(args: argparse.Namespace) -> tuple[int, list]:
+    sweep = fano_sweep(args.max_dim, args.max_k, args.max_degree, min_dim=args.min_dim)
+    return 0, [(ci, verify_main_theorem(ci)) for ci in sweep]
+
+
+def _ci_text(payload: dict) -> str:
+    return str(CompleteIntersection(payload["dim"], payload["degrees"]))
+
+
+def _hodge_text(p: dict) -> str:
+    n = p["dim"] - 1
+    return (
+        f"complete intersection: {_ci_text(p)}\n"
+        f"index                : {p['index']}\n"
+        f"dim R'               : {p['dim_R_prime']}\n"
+        f"dim R                : {p['dim_R']}\n"
+        f"h_pr^(1,{n})           : {p['h_pr']}\n"
+        f"h^(1,{n})              : {p['h']}"
+    )
+
+
+def _klg_text(p: dict) -> str:
+    lines = [
+        f"complete intersection    : {_ci_text(p)}",
+        f"branch                   : {p['branch']}",
+        f"k_lg                     : {p['k_lg']}",
+        f"central fiber components : {p['central_fiber_components']}",
+    ]
+    for c in p.get("contributions", ()):
+        ivec = ",".join(map(str, c["ivec"]))
+        lines.append(
+            f"  stratum j={c['j']} ivec=({ivec})"
+            f" multiplicity={c['multiplicity']} divisors={c['divisors']}"
         )
-    return 0
+    return "\n".join(lines)
+
+
+def _verify_text(p: dict) -> str:
+    verdict = "holds" if p["holds"] else "FAILS"
+    return (
+        f"{_ci_text(p)}: h = {p['h']}, h_pr = {p['h_pr']}, k_lg = {p['k_lg']}"
+        f" -> comparison {verdict}"
+    )
+
+
+def _periods_text(p: dict) -> str:
+    phi, closed, order = p["constant_terms"], p["closed_form"], p["order"]
+    width = max([len("constant term")] + [len(str(c)) for c in phi + closed])
+    lines = [
+        f"complete intersection: {_ci_text(p)}   (order {order})",
+        f"{'n':>4}  {'constant term':>{width}}  {'closed form':>{width}}",
+    ]
+    for n, (a, b) in enumerate(zip(phi, closed)):
+        lines.append(f"{n:>4}  {a:>{width}}  {b:>{width}}")
+    if p["match"]:
+        lines.append(f"period condition verified up to order {order}")
+    else:
+        lines.append(f"MISMATCH at order {p['first_mismatch']}")
+    return "\n".join(lines)
+
+
+def _fg_text(p: dict) -> str:
+    d, s = p["d"], p["s"]
+    return (
+        f"F({d},{s}): recursion {p['f_recursion']}, closed form {p['f_closed']}\n"
+        f"G({d},{s}): recursion {p['g_recursion']}, closed form {p['g_closed']}\n"
+        f"agreement: {'yes' if p['agree'] else 'NO'}"
+    )
+
+
+def _sweep_csv(rows: list) -> str:
+    lines = ["N,degrees,index,h_pr,h,k_lg,theorem_holds"]
+    for ci, r in rows:
+        degrees = "-".join(map(str, ci.degrees))
+        holds = "true" if r.holds else "false"
+        lines.append(f"{ci.dim},{degrees},{ci.index},{r.h_pr},{r.h},{r.k_lg},{holds}")
+    return "\n".join(lines)
 
 
 def _add_ci_flags(p: argparse.ArgumentParser) -> None:
@@ -330,6 +325,7 @@ def _add_sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-dim", type=int, default=8)
     p.add_argument("--max-k", type=int, default=3)
     p.add_argument("--max-degree", type=int, default=6)
+    p.set_defaults(format="csv")  # the one view of sweep; no flag selects it
 
 
 # name -> (help, adds the subcommand's arguments, runs it), in the order of --help
@@ -349,6 +345,21 @@ _COMMANDS = {
     "sweep": (
         "CSV table over a range of Fano complete intersections", _add_sweep_args, _cmd_sweep
     ),
+}
+
+# name -> its views by --format, each rendering a whole payload without the final
+# newline; the trace views look its methods up at call time, as bench/tracer.py binds them
+_VIEWS = {
+    "hodge": {"text": _hodge_text, "json": _render_json},
+    "klg": {"text": _klg_text, "json": _render_json},
+    "verify": {"text": _verify_text, "json": _render_json},
+    "periods": {"text": _periods_text, "json": _render_json},
+    "fg": {"text": _fg_text, "json": _render_json},
+    "resolve-trace": {
+        "json": lambda trace: _render_json(trace.to_json_dict()),
+        "dot": lambda trace: trace.to_dot(),
+    },
+    "sweep": {"csv": _sweep_csv},
 }
 
 
@@ -373,10 +384,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in _COMMANDS if command is None else [command]:
-        help_text, add_arguments, run = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.set_defaults(run=run)
+        help_text, add_arguments, _ = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -384,9 +393,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = _build_parser(command).parse_args(argv)
+    _, _, run = _COMMANDS[args.command]
     try:
-        return args.run(args)
-    except (NodeLimitExceeded, TermLimitExceeded, SummandLimitExceeded) as exc:
+        code, payload = run(args)
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            text = _VIEWS[args.command][args.format](payload)
+        finally:
+            sys.set_int_max_str_digits(digits)
+    except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
@@ -396,6 +412,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         message = " ".join(str(exc).split())
         print(f"error: internal error ({type(exc).__name__}): {message}", file=sys.stderr)
         return 4
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -11,6 +11,12 @@ from math import comb
 from typing import Iterator, Sequence
 
 
+class BudgetExceeded(RuntimeError):
+    """Raised, before the work is done, when a computation would pass one of
+    its work budgets: trace nodes or cells, constant-term products, recursion
+    or inclusion-exclusion summands, strata.  The CLI exits 3 on it."""
+
+
 def capped_vectors(
     caps: Sequence[int], bound: int
 ) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -60,6 +66,16 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
+def binomial_row(n: int, cap: int) -> list[int]:
+    """C(n, 0..cap) for 0 <= cap <= n, each entry from the one before."""
+    row = [1] * (cap + 1)
+    c = 1
+    for k in range(cap):
+        c = c * (n - k) // (k + 1)
+        row[k + 1] = c
+    return row
+
+
 def multinomial(n: int, parts: Sequence[int]) -> int:
     """Multinomial coefficient n! / (parts[0]! * ... * parts[-1]! * (n - sum(parts))!).
 
@@ -106,7 +122,7 @@ def convolution_identity_sides(
 
     counts = [1]
     for d in dbar:
-        row = [comb(d, i) for i in range(d + 1)]
+        row = binomial_row(d, d)
         counts = [
             sum(
                 counts[m - i] * row[i]

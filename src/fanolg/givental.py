@@ -25,11 +25,12 @@ from itertools import product
 from math import factorial
 from typing import Mapping
 
-from .exactmath import capped_vectors, multinomial
+from .exactmath import BudgetExceeded, capped_vectors, multinomial
 from .varieties import CompleteIntersection
 
 
-DEFAULT_MAX_PRODUCTS = 20_000_000
+# Term products one constant-term expansion may form (see ``_constant_terms``).
+MAX_TERM_PRODUCTS = 20_000_000
 
 
 class LaurentPolynomial:
@@ -143,11 +144,6 @@ def build_fx(ci: CompleteIntersection) -> LaurentPolynomial:
     return LaurentPolynomial(arity, terms)
 
 
-class TermLimitExceeded(RuntimeError):
-    """Raised when a constant-term expansion would form more term products than
-    its budget allows."""
-
-
 def _term_orbits(f: LaurentPolynomial) -> dict[tuple[int, ...], int]:
     """One term of f per orbit under the group G of permutations within the
     classes of interchangeable variables, mapped to the size of its orbit.
@@ -180,9 +176,7 @@ def _term_orbits(f: LaurentPolynomial) -> dict[tuple[int, ...], int]:
     return weights
 
 
-def _constant_terms(
-    f: LaurentPolynomial, order: int, max_products: int = DEFAULT_MAX_PRODUCTS
-) -> list[int]:
+def _constant_terms(f: LaurentPolynomial, order: int) -> list[int]:
     """Constant terms of f^0, f^1, ..., f^order, from the powers of f up to
     floor(order/2) alone.
 
@@ -239,8 +233,8 @@ def _constant_terms(
     Budget: before each multiplication len(P[m-1]) * len(f.terms) term
     products, before each dot product the length of the smaller of its two
     powers, and before the odd last step len(P[h-1]) times the number of orbits
-    are added to a running total; ``TermLimitExceeded`` is raised, before the
-    work is done, if the total would pass ``max_products``.
+    are added to a running total; ``BudgetExceeded`` is raised, before the
+    work is done, if the total would pass ``MAX_TERM_PRODUCTS``.
     """
     out = [1]
     if order == 0:
@@ -267,10 +261,10 @@ def _constant_terms(
     def charge(work: int, power: int) -> None:
         nonlocal products
         products += work
-        if products > max_products:
-            raise TermLimitExceeded(
+        if products > MAX_TERM_PRODUCTS:
+            raise BudgetExceeded(
                 f"constant-term expansion to order {order} would form more than"
-                f" {max_products:,} term products by power {power}"
+                f" {MAX_TERM_PRODUCTS:,} term products by power {power}"
             )
 
     def dot(p: dict[int, int], q: dict[int, int], n: int) -> int:
@@ -322,17 +316,15 @@ def constant_term(f: LaurentPolynomial, n: int) -> int:
     return _constant_terms(f, n)[n]
 
 
-def phi_series(
-    f: LaurentPolynomial, order: int, max_products: int = DEFAULT_MAX_PRODUCTS
-) -> PowerSeries:
+def phi_series(f: LaurentPolynomial, order: int) -> PowerSeries:
     """Constant-term series of f up to the given truncation order.
 
-    Raises ``TermLimitExceeded`` when the expansion would form more than
-    ``max_products`` term products.
+    Raises ``BudgetExceeded`` when the expansion would form more than
+    ``MAX_TERM_PRODUCTS`` term products.
     """
     if order < 0:
         raise ValueError(f"truncation order must be >= 0, got {order}")
-    return PowerSeries(order, tuple(_constant_terms(f, order, max_products)))
+    return PowerSeries(order, tuple(_constant_terms(f, order)))
 
 
 def i_series(ci: CompleteIntersection, order: int) -> PowerSeries:
@@ -370,17 +362,15 @@ def _first_mismatch(a: tuple[int, ...], b: tuple[int, ...]) -> int | None:
     return None
 
 
-def verify_period(
-    ci: CompleteIntersection, order: int, max_products: int = DEFAULT_MAX_PRODUCTS
-) -> PeriodReport:
+def verify_period(ci: CompleteIntersection, order: int) -> PeriodReport:
     """Compare the constant-term expansion of the mirror polynomial with the
     closed-form series, coefficient by coefficient up to ``order``.
 
     Exact equality is required; on failure the first differing index is
-    reported.  The expansion is bounded by ``max_products`` term products (see
-    ``phi_series``).
+    reported.  The expansion is bounded by ``MAX_TERM_PRODUCTS`` term products
+    (see ``phi_series``).
     """
-    phi = phi_series(build_fx(ci), order, max_products)
+    phi = phi_series(build_fx(ci), order)
     closed = i_series(ci, order)
     mismatch = _first_mismatch(phi.coefficients, closed.coefficients)
     return PeriodReport(

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactmath import binomial, capped_vectors
-from .resolution import SummandLimitExceeded
+from .exactmath import BudgetExceeded, binomial, capped_vectors
 from .varieties import CompleteIntersection
 
 
@@ -71,12 +70,12 @@ def dim_R_prime_1(ci: CompleteIntersection) -> int:
     """Dimension of the (1, -index) piece of the partial quotient ring, namely
     sum_j delta_j.
 
-    Raises ``SummandLimitExceeded`` when the k * 2^k summands of the k
+    Raises ``BudgetExceeded`` when the k * 2^k summands of the k
     inclusion-exclusions would pass ``MAX_INCLUSION_EXCLUSION_SUMMANDS``.
     """
     summands = ci.k << ci.k
     if summands > MAX_INCLUSION_EXCLUSION_SUMMANDS:
-        raise SummandLimitExceeded(
+        raise BudgetExceeded(
             f"the inclusion-exclusion for {ci} would add {summands:,} summands,"
             f" more than {MAX_INCLUSION_EXCLUSION_SUMMANDS:,}"
         )

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import Literal, NamedTuple
 
-from .exactmath import binomial, capped_vectors, count_capped_vectors
+from .exactmath import BudgetExceeded, binomial_row, capped_vectors, count_capped_vectors
 from .jacobian_ring import dim_R_1, hodge_h1
-from .resolution import SummandLimitExceeded, g_closed
+from .resolution import g_closed
 from .varieties import CompleteIntersection
 
 # What one stratum enumeration may cost: each listed stratum counts 1 and each
@@ -26,23 +26,19 @@ from .varieties import CompleteIntersection
 MAX_STRATA_COST = 1_000_000
 
 
-@dataclass(frozen=True)
-class StratumLabel:
-    """A canonical stratum: the distinguished equation index j (1-based) and the
-    counts (i_1, ..., i_k) of vanishing coordinates chosen in each block.
+class StratumContribution(NamedTuple):
+    """A canonical stratum's label and what it contributes.
 
-    Admissible labels satisfy i_t <= d_t - 1 for t != j and i_j <= d_j - 2; when
-    the index of the variety is 1 the all-zero count vector is excluded.  A label
-    carries exceptional divisors only when i_1 + ... + i_k <= d_j - 1 - l, and
-    ``enumerate_strata`` lists only those.
+    The label is the distinguished equation index j (1-based) and the counts
+    ivec = (i_1, ..., i_k) of vanishing coordinates chosen in each block.
+    Admissible labels satisfy i_t <= d_t - 1 for t != j and i_j <= d_j - 2;
+    when the index of the variety is 1 the all-zero count vector is excluded.
+    ``multiplicity`` counts the strata of the label and ``divisors`` the
+    exceptional divisors over each of them.
     """
 
     j: int
     ivec: tuple[int, ...]
-
-
-class StratumContribution(NamedTuple):
-    label: StratumLabel
     multiplicity: int
     divisors: int
 
@@ -55,7 +51,8 @@ class KlgReport:
     reducible, so its component count is always ``k_lg + 1``.  ``branch`` records
     which summation rule applied (the index-1 case counts the strict transforms
     of an already reducible fiber separately).  ``contributions`` lists the
-    strata that carry divisors, as ``enumerate_strata`` returns them.
+    strata that carry divisors, as ``enumerate_strata`` returns them, each a
+    flat ``(j, ivec, multiplicity, divisors)`` record.
     """
 
     k_lg: int
@@ -83,9 +80,9 @@ def enumerate_strata(ci: CompleteIntersection) -> list[StratumContribution]:
     G(d, s) = C(d - 1, s) vanishes once s >= d, so only labels with
     i_1 + ... + i_k <= d_j - 1 - l are enumerated, and every listed stratum
     carries at least one divisor.  Labels come in ``itertools.product`` order
-    for each j in turn.
+    for each j in turn, each as a ``StratumContribution``.
 
-    Raises ``SummandLimitExceeded`` before listing anything when the strata
+    Raises ``BudgetExceeded`` before listing anything when the strata
     plus the bits of the divisor rows would cost more than
     ``MAX_STRATA_COST``.  The strata of each j are charged C(bound + k, k),
     their count with the caps ignored, and counted exactly only when those
@@ -105,12 +102,12 @@ def enumerate_strata(ci: CompleteIntersection) -> list[StratumContribution]:
             count_capped_vectors(caps, bound) - (l == 0) for *_, caps, bound in plans
         )
     if cost > MAX_STRATA_COST:
-        raise SummandLimitExceeded(
+        raise BudgetExceeded(
             f"the strata of {ci} would cost more than {MAX_STRATA_COST:,}"
             " (one per stratum plus the bits of the divisor counts)"
         )
     out: list[StratumContribution] = []
-    rows = [[binomial(d, i) for i in range(d)] for d in ci.degrees]
+    rows = [binomial_row(d, d - 1) for d in ci.degrees]
     for j, dj, caps, bound in plans:
         g_row = [g_closed(dj, s + l) for s in range(bound + 1)]
         for ivec, s in capped_vectors(caps, bound):
@@ -119,9 +116,7 @@ def enumerate_strata(ci: CompleteIntersection) -> list[StratumContribution]:
             multiplicity = 1
             for row, i in zip(rows, ivec):
                 multiplicity *= row[i]
-            out.append(
-                StratumContribution(StratumLabel(j, ivec), multiplicity, g_row[s])
-            )
+            out.append(StratumContribution(j, ivec, multiplicity, g_row[s]))
     return out
 
 

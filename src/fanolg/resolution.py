@@ -15,18 +15,7 @@ from dataclasses import dataclass
 from operator import getitem, mul
 from typing import Iterator, NamedTuple
 
-from .exactmath import binomial
-
-
-class NodeLimitExceeded(RuntimeError):
-    """Raised when a resolution trace would grow past its node budget."""
-
-
-class SummandLimitExceeded(RuntimeError):
-    """Raised when an exact sum would add more summands than its budget: the
-    recursion for F here, the inclusion-exclusion of
-    ``jacobian_ring.dim_R_prime_1`` and the strata of
-    ``lg_count.enumerate_strata``."""
+from .exactmath import BudgetExceeded, binomial, binomial_row
 
 
 # Summands the recursion for F may add in one evaluation: (300, 300) needs
@@ -55,7 +44,7 @@ def f_rec(d: int, s: int) -> int:
     already smooth, its central fiber irreducible).  The recursion is evaluated
     without Python recursion, level by level in d, each state as a dot product
     of a binomial row with the level's G values (see ``_f_states``), and
-    raises ``SummandLimitExceeded`` when it would add more than
+    raises ``BudgetExceeded`` when it would add more than
     ``MAX_RECURSION_SUMMANDS`` summands; past d = 500,000 it raises at once.
     """
     if s < 0:
@@ -110,9 +99,9 @@ def _f_states(d: int, s: int) -> list[dict[int, int]]:
         # every level reaches the states 1..high, so a state is new here when
         # it passes every earlier high, and level - i is then its highest level
         for i in range(len(rows) + 1, high + 1):
-            rows[i] = _binomial_row(i, min(i, level - i - 1))
+            rows[i] = binomial_row(i, min(i, level - i - 1))
         levels.append(states)
-    rows[s] = _binomial_row(s, min(s, d - 1))  # the root's level d is the highest
+    rows[s] = binomial_row(s, min(s, d - 1))  # the root's level d is the highest
 
     levels.append({})
     levels.reverse()
@@ -129,21 +118,11 @@ def _f_states(d: int, s: int) -> list[dict[int, int]]:
     return levels
 
 
-def _summand_limit(d: int, s: int) -> SummandLimitExceeded:
-    return SummandLimitExceeded(
+def _summand_limit(d: int, s: int) -> BudgetExceeded:
+    return BudgetExceeded(
         f"the recursion for F({d},{s}) would add more than"
         f" {MAX_RECURSION_SUMMANDS:,} summands"
     )
-
-
-def _binomial_row(n: int, cap: int) -> list[int]:
-    """C(n, 0..cap) for 0 <= cap <= n, each entry from the one before."""
-    row = [1] * (cap + 1)
-    c = 1
-    for k in range(cap):
-        c = c * (n - k) // (k + 1)
-        row[k + 1] = c
-    return row
 
 
 def fg_rec(d: int, s: int) -> tuple[int, int]:
@@ -412,7 +391,7 @@ def resolution_trace(chart: ChartType, node_limit: int = 1_000_000) -> Resolutio
     One depth-first pass over the (dbar, s) keys expands each distinct chart
     once, the x_i != 0 chart before the a_1 != 0 chart, and sums the tree size
     of each chart as it closes, after its children.  ``node_limit`` bounds the
-    tree size: the build fails with ``NodeLimitExceeded`` at the first subtree
+    tree size: the build fails with ``BudgetExceeded`` at the first subtree
     that holds more than ``node_limit`` nodes, before the rest is expanded.
     It fails the same way once the expanded charts would store more than
     ``MAX_TRACE_CELLS`` cells, charged ``len(dbar) + m + 2`` per expanded
@@ -440,7 +419,7 @@ def resolution_trace(chart: ChartType, node_limit: int = 1_000_000) -> Resolutio
             _, a_key, x_key = steps[key]
             size = sizes[key] = 1 + sizes[a_key] + sizes[x_key]
             if size > node_limit:
-                raise NodeLimitExceeded(f"resolution trace from {chart} exceeded {node_limit} nodes")
+                raise BudgetExceeded(f"resolution trace from {chart} exceeded {node_limit} nodes")
             continue
         dbar, s = key
         # a key stores len(dbar) + 1 cells, a blow-up step m + 1 more
@@ -452,7 +431,7 @@ def resolution_trace(chart: ChartType, node_limit: int = 1_000_000) -> Resolutio
             steps[key], sizes[key] = None, 1
             cells += len(dbar) + 1
         if cells > MAX_TRACE_CELLS:
-            raise NodeLimitExceeded(
+            raise BudgetExceeded(
                 f"resolution trace from {chart} would store more than {MAX_TRACE_CELLS:,} cells"
             )
 

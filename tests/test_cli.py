@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its output contracts."""
 
+import hashlib
 import json
 import os
 import re
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import fanolg
 from fanolg import cli
 from fanolg import (
+    BudgetExceeded,
     CompleteIntersection,
     f_closed,
     f_rec,
@@ -62,23 +64,23 @@ class TestVerify:
 
 class TestHodge:
     def test_invalid_not_fano(self, capsys):
-        code, _, err = run(capsys, "hodge", "--dim", "3", "--degrees", "5")
-        assert code == 2
+        code, out, err = run(capsys, "hodge", "--dim", "3", "--degrees", "5")
+        assert code == 2 and out == ""
         assert "not Fano" in err
 
     def test_invalid_degree_one(self, capsys):
-        code, _, err = run(capsys, "hodge", "--dim", "3", "--degrees", "1,2")
-        assert code == 2
+        code, out, err = run(capsys, "hodge", "--dim", "3", "--degrees", "1,2")
+        assert code == 2 and out == ""
         assert "degree" in err
 
     def test_invalid_degree_syntax(self, capsys):
-        code, _, err = run(capsys, "hodge", "--dim", "3", "--degrees", "3,x")
-        assert code == 2
+        code, out, err = run(capsys, "hodge", "--dim", "3", "--degrees", "3,x")
+        assert code == 2 and out == ""
         assert "comma-separated" in err
 
     def test_small_dimension(self, capsys):
-        code, _, err = run(capsys, "hodge", "--dim", "1", "--degrees", "2")
-        assert code == 2
+        code, out, err = run(capsys, "hodge", "--dim", "1", "--degrees", "2")
+        assert code == 2 and out == ""
         assert "dimension" in err
 
     @pytest.mark.parametrize("command", ["hodge", "verify"])
@@ -158,8 +160,8 @@ class TestPeriods:
         assert payload["constant_terms"] == payload["closed_form"]
 
     def test_negative_order_rejected(self, capsys):
-        code, _, err = run(capsys, "periods", "--dim", "3", "--degrees", "3", "--order", "-1")
-        assert code == 2
+        code, out, err = run(capsys, "periods", "--dim", "3", "--degrees", "3", "--order", "-1")
+        assert code == 2 and out == ""
         assert "order" in err
 
     def test_work_budget_exceeded_is_a_one_line_error(self, capsys):
@@ -214,8 +216,8 @@ class TestFg:
         assert payload["agree"] is True
 
     def test_invalid_d(self, capsys):
-        code, _, err = run(capsys, "fg", "--d", "0", "--s", "2")
-        assert code == 2
+        code, out, err = run(capsys, "fg", "--d", "0", "--s", "2")
+        assert code == 2 and out == ""
         assert "d must be" in err
 
 
@@ -243,10 +245,10 @@ class TestResolveTrace:
         assert "->" in out
 
     def test_node_limit_exceeded_is_a_failure(self, capsys):
-        code, _, err = run(
+        code, out, err = run(
             capsys, "resolve-trace", "--dbar", "6,6", "--s", "4", "--node-limit", "10"
         )
-        assert code == 3
+        assert code == 3 and out == ""
         assert "exceeded" in err
 
     def test_node_limit_counts_tree_nodes(self, capsys):
@@ -280,8 +282,8 @@ class TestResolveTrace:
         assert reason in err and "Traceback" not in err
 
     def test_invalid_chart(self, capsys):
-        code, _, err = run(capsys, "resolve-trace", "--dbar", "0,2", "--s", "1")
-        assert code == 2
+        code, out, err = run(capsys, "resolve-trace", "--dbar", "0,2", "--s", "1")
+        assert code == 2 and out == ""
         assert "positive" in err
 
 
@@ -400,6 +402,51 @@ class TestUnexpectedErrors:
         assert err == "error: internal error (RuntimeError): injected across lines\n"
 
 
+class TestWholeAnswers:
+    """An answer is printed whole or not at all, exact values of any length
+    included, and the int-to-str digit limit is lifted only while rendering."""
+
+    def test_digit_limit_is_restored(self, capsys, monkeypatch):
+        before = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "hodge", "--dim", "20000", "--degrees", "20001")
+        assert code == 0 and len(out) > 4 * 4300
+        assert sys.get_int_max_str_digits() == before
+
+        def crash(payload):
+            raise RuntimeError("injected")
+
+        monkeypatch.setitem(cli._VIEWS["hodge"], "text", crash)
+        code, out, _ = run(capsys, "hodge", "--dim", "3", "--degrees", "3")
+        assert (code, out) == (4, "")
+        assert sys.get_int_max_str_digits() == before
+
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (("--dim", "9" * 5000, "--degrees", "3"), "invalid int value"),
+            (("--dim", "3", "--degrees", "9" * 5000), "comma-separated"),
+        ],
+    )
+    def test_input_past_the_digit_limit_is_invalid(self, capsys, flags, reason):
+        code, out, err = run(capsys, "hodge", *flags)
+        assert code == 2 and out == ""
+        assert reason in err.splitlines()[-1]
+
+    def test_sweep_is_all_or_nothing(self, capsys, monkeypatch):
+        calls = []
+
+        def third_row_over_budget(ci):
+            calls.append(ci)
+            if len(calls) == 3:
+                raise BudgetExceeded("injected")
+            return verify_main_theorem(ci)
+
+        monkeypatch.setattr(cli, "verify_main_theorem", third_row_over_budget)
+        code, out, err = run(capsys, "sweep", "--max-dim", "4", "--max-k", "2", "--max-degree", "3")
+        assert len(calls) == 3
+        assert (code, out, err) == (3, "", "error: injected\n")
+
+
 class TestArgumentErrors:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -497,6 +544,48 @@ class TestOneSubparser:
         assert run(capsys, *argv) == shipped
 
 
+# (exit, stdout, stderr) of each command line with COLUMNS=80, as the first 16
+# hex digits of the sha256 of its repr, recorded before the commands returned
+# payloads for one renderer
+PINNED_OUTPUT = {
+    "hodge --dim 3 --degrees 3": "e5057ed5db91cc38",
+    "hodge --dim 12 --degrees 2,3": "849e09b410e9c7c9",
+    "hodge --dim 4 --degrees 2,2 --format json": "9e5c86f16d74c39d",
+    "klg --dim 3 --degrees 3": "14ab69f93e25ffd1",
+    "klg --dim 4 --degrees 2,3 --strata": "06a4138d97c3cab3",
+    "klg --dim 4 --degrees 2,3 --strata --format json": "73ab2cb60b6f813c",
+    "klg --dim 2 --degrees 3 --format json": "839a10f97f3297d1",
+    "verify --dim 2 --degrees 3": "f06d5b405c94799c",
+    "verify --dim 4 --degrees 2,2 --format json": "58a900726f794141",
+    "periods --dim 3 --degrees 3 --order 20": "5c40d3cbb462aa0a",
+    "periods --dim 4 --degrees 2,2": "b6ce4f006e6cb527",
+    "periods --dim 3 --degrees 3 --order 4 --format json": "3debc530574c806b",
+    "fg --d 3 --s 2": "a5ef0a879d21a35d",
+    "fg --d 120 --s 120 --format json": "308a774465767a36",
+    "resolve-trace --dbar 3,2 --s 2": "b0a8d8eb0612935c",
+    "resolve-trace --dbar 3,2 --s 2 --format dot": "f05512fd7917511d",
+    "sweep --max-dim 4 --max-k 2 --max-degree 3": "241e7991a0f9fe26",
+    "hodge --dim 3 --degrees 3,x": "cce1a798794e583e",
+    "verify --dim 3 --degrees 5": "0a50b3e0a0ec924a",
+    "fg --d 0 --s 2": "dc594818786a7a06",
+    "periods --dim 3 --degrees 3 --order -1": "b7b1d31a7fe495b5",
+    "hodge --dim 3": "919c4c5ef7539749",
+    "hodge --dim 30 --degrees 2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2": "b68f05c5ab3ced45",
+    "klg --dim 200000 --degrees 200001": "dfd6d2489b2cae00",
+    "periods --dim 6 --degrees 7 --order 7": "a151471eb87295a7",
+    "fg --d 400 --s 400": "1ac52fc16ae40049",
+    "resolve-trace --dbar 6,6 --s 4 --node-limit 10": "16ca3844ef8b20fa",
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("line", PINNED_OUTPUT)
+    def test_same_bytes(self, capsys, monkeypatch, line):
+        monkeypatch.setenv("COLUMNS", "80")
+        result = run(capsys, *line.split())
+        assert hashlib.sha256(repr(result).encode()).hexdigest()[:16] == PINNED_OUTPUT[line]
+
+
 class TestEntryPoint:
     """``python -m fanolg.cli`` in a fresh interpreter, reading ``sys.argv``."""
 
@@ -518,6 +607,20 @@ class TestEntryPoint:
         done = self.fanolg("--help")
         assert done.returncode == 0
         assert re.findall(r"^    (\S+)", done.stdout, re.M) == list(COMMANDS)
+
+    def test_answer_past_the_digit_limit_prints_whole(self):
+        done = self.fanolg("hodge", "--dim", "20000", "--degrees", "20001")
+        assert done.returncode == 0 and done.stderr == ""
+        texts = [line.rpartition(" ")[2] for line in done.stdout.splitlines()[2:]]
+        assert len(texts) == 4 and min(map(len, texts)) > 4300
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # int() of the text meets the same limit here
+        try:
+            values = [int(text) for text in texts]
+        finally:
+            sys.set_int_max_str_digits(digits)
+        report = hodge_h1(CompleteIntersection(20000, (20001,)))
+        assert values == [report.dim_R_prime, report.dim_R, report.h_pr, report.h]
 
     def test_missing_flag(self):
         done = self.fanolg("hodge", "--dim", "3")

@@ -1,14 +1,14 @@
 """Tests for the exact combinatorial primitives."""
 
 from itertools import permutations, product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanolg import binomial, capped_vectors, convolution_identity_sides, multinomial
-from fanolg.exactmath import count_capped_vectors
+from fanolg.exactmath import binomial_row, count_capped_vectors
 
 
 def naive_lhs(dbar, e, l):
@@ -81,6 +81,12 @@ class TestBinomial:
 
     def test_exactness_beyond_64_bits(self):
         assert binomial(120, 60) == factorial(120) // factorial(60) ** 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 300), st.integers(0, 300))
+    def test_property_row_equals_comb(self, a, b):
+        n, cap = max(a, b), min(a, b)
+        assert binomial_row(n, cap) == [comb(n, k) for k in range(cap + 1)]
 
 
 class TestMultinomial:

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanolg import (
+    BudgetExceeded,
     CompleteIntersection,
     LaurentPolynomial,
-    TermLimitExceeded,
     build_fx,
     constant_term,
     fano_sweep,
@@ -19,6 +19,7 @@ from fanolg import (
     phi_series,
     verify_period,
 )
+from fanolg import givental
 from fanolg.givental import _first_mismatch, _term_orbits
 
 CUBIC_SURFACE = CompleteIntersection(2, (3,))
@@ -233,16 +234,22 @@ class TestConstantTerm:
             constant_term(build_fx(CUBIC_SURFACE), -1)
 
 
+def phi_within(monkeypatch, f, order, budget):
+    """``phi_series(f, order)`` with ``MAX_TERM_PRODUCTS`` set to ``budget``."""
+    monkeypatch.setattr(givental, "MAX_TERM_PRODUCTS", budget)
+    return phi_series(f, order)
+
+
 class TestWorkBudget:
-    def test_budget_counts_term_products(self):
+    def test_budget_counts_term_products(self, monkeypatch):
         # x + 1/x to order 2: 1 * 2 products for f^1, then the dot products
         # f^1 . f^0 (1, the smaller side) and f^1 . f^1 (2)
         f = LaurentPolynomial(1, {(1,): 1, (-1,): 1})
-        assert phi_series(f, 2, max_products=5).coefficients == (1, 0, 2)
-        with pytest.raises(TermLimitExceeded):
-            phi_series(f, 2, max_products=4)
+        assert phi_within(monkeypatch, f, 2, 5).coefficients == (1, 0, 2)
+        with pytest.raises(BudgetExceeded):
+            phi_within(monkeypatch, f, 2, 4)
 
-    def test_budget_is_charged_before_the_work(self):
+    def test_budget_is_charged_before_the_work(self, monkeypatch):
         calls = []
 
         class CountingInt(int):
@@ -256,31 +263,31 @@ class TestWorkBudget:
         assert phi_series(f, 2).coefficients == (1, 0, 2)
         assert len(calls) == 2  # the products of f^0 = 1 with the two terms
         calls.clear()
-        with pytest.raises(TermLimitExceeded):
-            phi_series(f, 2, max_products=1)
+        with pytest.raises(BudgetExceeded):
+            phi_within(monkeypatch, f, 2, 1)
         assert calls == []
 
-    def test_odd_last_step_is_charged_per_orbit(self):
+    def test_odd_last_step_is_charged_per_orbit(self, monkeypatch):
         # x + 1/x to order 3: 2 products for f^1, the dot products f^1 . f^0
         # (1) and f^1 . f^1 (2), then f^3 read from f^1: 2 terms times 2 orbits
         f = LaurentPolynomial(1, {(1,): 1, (-1,): 1})
-        assert phi_series(f, 3, max_products=9).coefficients == (1, 0, 2, 0)
-        with pytest.raises(TermLimitExceeded):
-            phi_series(f, 3, max_products=8)
+        assert phi_within(monkeypatch, f, 3, 9).coefficients == (1, 0, 2, 0)
+        with pytest.raises(BudgetExceeded):
+            phi_within(monkeypatch, f, 3, 8)
 
-    def test_quintic_fourfold_charge(self):
+    def test_quintic_fourfold_charge(self, monkeypatch):
         # 126 (P[1]) + 126 * 126 (P[2]) + 1 + 126 + 126 + 721 (dot products)
         # + 721 * 18 (the last step over 18 orbits); forming P[3] as well
         # would add 721 * 126
         f = build_fx(QUINTIC_FOURFOLD)
         expected = i_series(QUINTIC_FOURFOLD, 5).coefficients
-        assert phi_series(f, 5, max_products=29_954).coefficients == expected
-        with pytest.raises(TermLimitExceeded):
-            phi_series(f, 5, max_products=29_953)
+        assert phi_within(monkeypatch, f, 5, 29_954).coefficients == expected
+        with pytest.raises(BudgetExceeded):
+            phi_within(monkeypatch, f, 5, 29_953)
 
     def test_default_budget_stops_a_runaway_expansion(self):
         # f has 1,716 terms; power 3 alone would form about 57M products
-        with pytest.raises(TermLimitExceeded, match="term products"):
+        with pytest.raises(BudgetExceeded, match="term products"):
             verify_period(CompleteIntersection(6, (7,)), 7)
 
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 
 from fanolg import (
+    BudgetExceeded,
     CompleteIntersection,
     StratumContribution,
-    StratumLabel,
     binomial,
     dim_R_1,
     enumerate_strata,
@@ -21,7 +21,6 @@ from fanolg import (
     verify_main_theorem,
 )
 from fanolg import lg_count
-from fanolg.resolution import SummandLimitExceeded
 from strategies import fano_complete_intersections
 
 CUBIC_SURFACE = CompleteIntersection(2, (3,))
@@ -45,19 +44,19 @@ def unpruned_strata(ci):
             for d, i in zip(ci.degrees, ivec):
                 multiplicity *= binomial(d, i)
             divisors = g_rec(ci.degrees[j - 1], sum(ivec) + ci.l)
-            out.append(StratumContribution(StratumLabel(j, ivec), multiplicity, divisors))
+            out.append(StratumContribution(j, ivec, multiplicity, divisors))
     return out
 
 
 class TestEnumerateStrata:
     def test_cubic_surface_single_stratum(self):
         strata = enumerate_strata(CUBIC_SURFACE)
-        assert strata == [(StratumLabel(1, (1,)), 3, 2)]
-        assert sum(m * d for _, m, d in strata) == 6
+        assert strata == [(1, (1,), 3, 2)]
+        assert sum(m * d for _, _, m, d in strata) == 6
 
     def test_cubic_threefold(self):
         strata = enumerate_strata(CUBIC_THREEFOLD)
-        assert {(c.label.ivec, c.multiplicity, c.divisors) for c in strata} == {
+        assert {(c.ivec, c.multiplicity, c.divisors) for c in strata} == {
             ((0,), 1, 2),
             ((1,), 3, 1),
         }
@@ -66,16 +65,16 @@ class TestEnumerateStrata:
     def test_cubic_fourfold_lists_only_contributing_strata(self):
         # the label (1,) has G(3, 1 + 1) = 0 divisors and is not listed
         strata = enumerate_strata(CUBIC_FOURFOLD)
-        assert [(c.label.ivec, c.multiplicity, c.divisors) for c in strata] == [((0,), 1, 1)]
+        assert [(c.ivec, c.multiplicity, c.divisors) for c in strata] == [((0,), 1, 1)]
 
     def test_label_bounds(self):
         ci = CompleteIntersection(4, (2, 4))
         for c in enumerate_strata(ci):
-            for t, i in enumerate(c.label.ivec, start=1):
-                cap = ci.degrees[t - 1] - (2 if t == c.label.j else 1)
+            for t, i in enumerate(c.ivec, start=1):
+                cap = ci.degrees[t - 1] - (2 if t == c.j else 1)
                 assert 0 <= i <= cap
             if ci.l == 0:
-                assert sum(c.label.ivec) >= 1
+                assert sum(c.ivec) >= 1
 
     def test_recursion_route_agrees(self):
         for ci in fano_sweep(6, 2, 4):
@@ -102,13 +101,13 @@ class TestStrataBudget:
         monkeypatch.setattr(lg_count, "MAX_STRATA_COST", cost)
         assert enumerate_strata(ci) == strata
         monkeypatch.setattr(lg_count, "MAX_STRATA_COST", cost - 1)
-        with pytest.raises(SummandLimitExceeded, match=f"more than {cost - 1}"):
+        with pytest.raises(BudgetExceeded, match=f"more than {cost - 1}"):
             enumerate_strata(ci)
 
     def test_divisor_bits_are_charged(self):
         # 999 * 999 bits and 997 strata fit; one degree more passes 1,000,000
         assert len(enumerate_strata(CompleteIntersection(998, (999,)))) == 997
-        with pytest.raises(SummandLimitExceeded, match="1,000,000"):
+        with pytest.raises(BudgetExceeded, match="1,000,000"):
             enumerate_strata(CompleteIntersection(999, (1000,)))
 
     def test_sweep_is_inside_the_budget(self):

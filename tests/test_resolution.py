@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanolg import (
+    BudgetExceeded,
     ChartType,
-    NodeLimitExceeded,
     ResolutionTrace,
-    SummandLimitExceeded,
     TraceEdge,
     TraceNode,
     chart_children,
@@ -52,8 +51,8 @@ def worklist_trace(chart: ChartType, node_limit: int = 1_000_000) -> ResolutionT
     if node_limit < 1:
         raise ValueError(f"node_limit must be positive, got {node_limit}")
 
-    def exceeded() -> NodeLimitExceeded:
-        return NodeLimitExceeded(f"resolution trace from {chart} exceeded {node_limit} nodes")
+    def exceeded() -> BudgetExceeded:
+        return BudgetExceeded(f"resolution trace from {chart} exceeded {node_limit} nodes")
 
     steps: dict[ChartType, tuple[str, dict[ChartType, list[str]]]] = {}
     pending = [chart]
@@ -88,7 +87,7 @@ def outcome(build, chart: ChartType, node_limit: int):
     """The trace's JSON form, or the type of the exception the build raised."""
     try:
         return build(chart, node_limit=node_limit).to_json_dict()
-    except (NodeLimitExceeded, ValueError) as exc:
+    except (BudgetExceeded, ValueError) as exc:
         return type(exc)
 
 
@@ -206,11 +205,11 @@ class TestCountingFunctions:
     def test_summand_budget(self):
         # (400, 400) reaches about 1.9M summands, past the budget of 1M
         assert reachable_summands(400, 400) > MAX_RECURSION_SUMMANDS
-        with pytest.raises(SummandLimitExceeded, match="summands"):
+        with pytest.raises(BudgetExceeded, match="summands"):
             f_rec(400, 400)
-        with pytest.raises(SummandLimitExceeded):
+        with pytest.raises(BudgetExceeded):
             g_rec(800, 400)
-        with pytest.raises(SummandLimitExceeded):
+        with pytest.raises(BudgetExceeded):
             fg_rec(400, 400)
 
     @pytest.mark.parametrize("d, s, count", [(60, 60, 7704), (120, 56, 47904), (3000, 1, 5999)])
@@ -219,7 +218,7 @@ class TestCountingFunctions:
         monkeypatch.setattr(resolution, "MAX_RECURSION_SUMMANDS", count)
         assert fg_rec(d, s) == (f_closed(d, s), g_closed(d, s))
         monkeypatch.setattr(resolution, "MAX_RECURSION_SUMMANDS", count - 1)
-        with pytest.raises(SummandLimitExceeded, match=f"more than {count - 1:,} summands"):
+        with pytest.raises(BudgetExceeded, match=f"more than {count - 1:,} summands"):
             fg_rec(d, s)
 
     def test_deepest_chain_within_budget(self):
@@ -230,7 +229,7 @@ class TestCountingFunctions:
     def test_huge_d_is_refused_at_once(self, d):
         # 2d - 1 summands at least, one state per level: refused before any level
         def refused():
-            with pytest.raises(SummandLimitExceeded, match="summands"):
+            with pytest.raises(BudgetExceeded, match="summands"):
                 f_rec(d, 1)
 
         assert traced_peak(refused) < 2**20
@@ -359,7 +358,7 @@ class TestResolutionTrace:
         assert x_edge.charts == ("x1 != 0", "x2 != 0", "x3 != 0")
 
     def test_node_limit(self):
-        with pytest.raises(NodeLimitExceeded):
+        with pytest.raises(BudgetExceeded):
             resolution_trace(ChartType((6, 6), 4), node_limit=10)
 
     def test_terminal_root(self):
@@ -375,7 +374,7 @@ class TestResolutionTrace:
         assert trace.node_count == 7231
         assert len(trace.nodes) == 679
         for limit in (7230, 900):
-            with pytest.raises(NodeLimitExceeded):
+            with pytest.raises(BudgetExceeded):
                 resolution_trace(chart, node_limit=limit)
 
     def test_each_chart_is_one_shared_node(self):
@@ -389,7 +388,7 @@ class TestResolutionTrace:
         # the tree passes 1M nodes long before the distinct charts are all expanded
         tracemalloc.start()
         try:
-            with pytest.raises(NodeLimitExceeded, match="exceeded 1000000 nodes"):
+            with pytest.raises(BudgetExceeded, match="exceeded 1000000 nodes"):
                 resolution_trace(ChartType((12, 12, 12), 12))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -399,7 +398,7 @@ class TestResolutionTrace:
     @pytest.mark.parametrize("d", [300, 2000, 99999])
     def test_cell_budget(self, d):
         # long exponent lists: each chart of the x-chart chain stores up to s entries
-        with pytest.raises(NodeLimitExceeded, match=f"more than {MAX_TRACE_CELLS:,} cells"):
+        with pytest.raises(BudgetExceeded, match=f"more than {MAX_TRACE_CELLS:,} cells"):
             resolution_trace(ChartType((d,), d))
 
     @settings(max_examples=150, deadline=None)
