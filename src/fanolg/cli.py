@@ -4,8 +4,9 @@ Every computation is exposed with machine-readable output.  Exit codes: 0 for
 success (including successful verification), 1 for a failed verification, 2
 for invalid input, 3 for an exceeded work budget (``BudgetExceeded``: trace
 tree nodes or cells, period term products, recursion or inclusion-exclusion
-summands, strata) and 4 for any other error; codes 2 to 4 come with a one-line
-``error:`` on stderr and nothing on stdout.
+summands, strata, terms of the mirror polynomial) and 4 for any other error,
+a closed stdout included; codes 2 to 4 come with a one-line ``error:`` on
+stderr and, but for a closed stdout, nothing on stdout.
 
 Each subcommand returns its exit code and one payload, and ``main`` renders
 the payload whole through one of the command's views (text, JSON, DOT or CSV)
@@ -23,6 +24,7 @@ their views in another, ``_VIEWS``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Sequence
@@ -412,7 +414,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         message = " ".join(str(exc).split())
         print(f"error: internal error ({type(exc).__name__}): {message}", file=sys.stderr)
         return 4
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point fd 1 at devnull so the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 4
     return code
 
 

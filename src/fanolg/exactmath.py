@@ -13,8 +13,9 @@ from typing import Iterator, Sequence
 
 class BudgetExceeded(RuntimeError):
     """Raised, before the work is done, when a computation would pass one of
-    its work budgets: trace nodes or cells, constant-term products, recursion
-    or inclusion-exclusion summands, strata.  The CLI exits 3 on it."""
+    its work budgets: trace nodes or cells, mirror-polynomial terms,
+    constant-term products, recursion or inclusion-exclusion summands, strata.
+    The CLI exits 3 on it."""
 
 
 def capped_vectors(

@@ -76,24 +76,15 @@ class LaurentPolynomial:
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Truncated power series with exact integer coefficients, indexed 0..truncation_order.
+    """Truncated power series with exact integer coefficients: the truncation
+    order is ``len(coefficients) - 1``.
 
     ``alpha`` carries the regularization constant attached to the closed-form
     series: the product of the degree factorials at index 1, zero otherwise.
     """
 
-    truncation_order: int
     coefficients: tuple[int, ...]
     alpha: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        if self.truncation_order < 0:
-            raise ValueError(f"truncation order must be >= 0, got {self.truncation_order}")
-        if len(self.coefficients) != self.truncation_order + 1:
-            raise ValueError(
-                f"expected {self.truncation_order + 1} coefficients, got {len(self.coefficients)}"
-            )
 
 
 @dataclass(frozen=True)
@@ -114,7 +105,25 @@ def build_fx(ci: CompleteIntersection) -> LaurentPolynomial:
     of -1 in every slot, never as field arithmetic.  The trailing y summands
     each contribute a single term, which cannot collide with the shifted block
     (their y-exponents are +1 against -1).
+
+    Block i lists the C(2 d_i - 1, d_i - 1) exponent vectors of d_i - 1 entries
+    with sum at most d_i, so f has prod_i C(2 d_i - 1, d_i - 1) + l terms.
+    ``BudgetExceeded`` is raised, before any term is listed, when that count
+    passes ``MAX_TERM_PRODUCTS``; the count is formed one factor at a time and
+    stops there, so a huge degree costs only a few steps.
     """
+    terms_of_f = 1
+    for d in ci.degrees:
+        factor = 1
+        for i in range(1, d):  # factor = C(d + i, i), up to C(2d - 1, d - 1)
+            factor = factor * (d + i) // i
+            if terms_of_f * factor + ci.l > MAX_TERM_PRODUCTS:
+                raise BudgetExceeded(
+                    f"the mirror polynomial of {ci} would have more than"
+                    f" {MAX_TERM_PRODUCTS:,} terms"
+                )
+        terms_of_f *= factor
+
     x_slots = sum(d - 1 for d in ci.degrees)
     arity = x_slots + ci.l
     # sum(d_i - 1) + l = dim is an identity, not an assumption
@@ -324,7 +333,7 @@ def phi_series(f: LaurentPolynomial, order: int) -> PowerSeries:
     """
     if order < 0:
         raise ValueError(f"truncation order must be >= 0, got {order}")
-    return PowerSeries(order, tuple(_constant_terms(f, order)))
+    return PowerSeries(tuple(_constant_terms(f, order)))
 
 
 def i_series(ci: CompleteIntersection, order: int) -> PowerSeries:
@@ -352,7 +361,7 @@ def i_series(ci: CompleteIntersection, order: int) -> PowerSeries:
     if idx == 1:
         for degree in ci.degrees:
             alpha *= factorial(degree)
-    return PowerSeries(order, tuple(coefficients), alpha=alpha)
+    return PowerSeries(tuple(coefficients), alpha=alpha)
 
 
 def _first_mismatch(a: tuple[int, ...], b: tuple[int, ...]) -> int | None:

@@ -164,15 +164,11 @@ def verify_main_theorem(ci: CompleteIntersection) -> TheoremReport:
     """Compare the Hodge number with the central-fiber count.
 
     The two sides are computed along fully separate routes (ring dimension vs
-    stratum enumeration) and must satisfy h = k_lg for dim > 2 and h = k_lg + 1
-    for dim = 2; equivalently h_pr = k_lg in all dimensions.  Both forms are
-    checked.
+    stratum enumeration), and the one check is h_pr = k_lg.  The paper's form,
+    h = k_lg for dim > 2 and h = k_lg + 1 for dim = 2, follows from it and is
+    not a second check: ``hodge_h1`` sets h = h_pr + 1 at dim 2 and h = h_pr
+    otherwise.
     """
     hodge = hodge_h1(ci)
     count = k_lg(ci).k_lg
-    if ci.dim == 2:
-        branch_form = hodge.h == count + 1
-    else:
-        branch_form = hodge.h == count
-    holds = branch_form and hodge.h_pr == count
-    return TheoremReport(holds=holds, h=hodge.h, h_pr=hodge.h_pr, k_lg=count)
+    return TheoremReport(holds=hodge.h_pr == count, h=hodge.h, h_pr=hodge.h_pr, k_lg=count)

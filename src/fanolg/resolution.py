@@ -198,25 +198,18 @@ def f_multi(dbar: tuple[int, ...], s: int) -> int:
 # chart rewriting
 
 
-@dataclass(frozen=True)
-class ChartType:
+class ChartType(NamedTuple):
     """Local model of the rewriting: a_1^{d_1} ... a_k^{d_k} = lambda * x_1 ... x_s.
 
     ``dbar`` lists the exponents of the a-variables (possibly empty); ``s``
     counts the x-variables.  Charts with no a-variables or no x-variables are
     smooth, hence terminal.  The weight (s, sum(dbar)), compared
-    lexicographically, decreases strictly under every rewriting step.
+    lexicographically, decreases strictly under every rewriting step.  Charts are
+    checked only where they enter ``resolution_trace`` or ``chart_children``.
     """
 
     dbar: tuple[int, ...]
     s: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dbar", tuple(self.dbar))
-        if self.dbar and min(self.dbar) < 1:
-            raise ValueError(f"chart exponents must be positive, got {self.dbar}")
-        if self.s < 0:
-            raise ValueError(f"chart requires s >= 0, got s={self.s}")
 
     def weight(self) -> tuple[int, int]:
         return (self.s, sum(self.dbar))
@@ -235,18 +228,15 @@ class ChartEdge(NamedTuple):
     child: ChartType
 
 
-ChartKey = tuple[tuple[int, ...], int]  # (dbar, s) of a chart
-
-
-def _blow_up(dbar: tuple[int, ...], s: int) -> tuple[int, ChartKey, ChartKey]:
-    """The rewriting rule on a non-terminal chart: the center size m and the
-    keys of the a_1 != 0 chart and of the (isomorphic) x_i != 0 charts."""
+def _blow_up(dbar: tuple[int, ...], s: int) -> tuple[int, ChartType, ChartType]:
+    """The rewriting rule on a non-terminal chart: the center size m, the
+    a_1 != 0 chart and the (isomorphic) x_i != 0 charts."""
     d1 = dbar[0]
     m = min(d1, s)
     rest = d1 - m
     if rest:
-        return m, ((rest,) + dbar[1:], s), (dbar + (rest,), s - 1)
-    return m, (dbar[1:], s), (dbar, s - 1)
+        return m, ChartType((rest,) + dbar[1:], s), ChartType(dbar + (rest,), s - 1)
+    return m, ChartType(dbar[1:], s), ChartType(dbar, s - 1)
 
 
 _A_LABELS = ("a1 != 0",)
@@ -270,12 +260,16 @@ def chart_children(chart: ChartType) -> list[ChartEdge]:
     a-chart loses a_1 entirely and the x-charts keep dbar unchanged.  Every
     child weight is strictly smaller than the parent weight.
     """
+    chart = ChartType(tuple(chart.dbar), chart.s)
+    if chart.dbar and min(chart.dbar) < 1:
+        raise ValueError(f"chart exponents must be positive, got {chart.dbar}")
+    if chart.s < 0:
+        raise ValueError(f"chart requires s >= 0, got s={chart.s}")
     if chart.is_terminal:
         raise ValueError(f"chart {chart} is terminal (smooth); there is nothing to blow up")
-    m, a_key, x_key = _blow_up(chart.dbar, chart.s)
+    m, a_child, x_child = _blow_up(*chart)
     stratum, x_labels = _center(m)
-    x_child = ChartType(*x_key)
-    edges = [ChartEdge(stratum, _A_LABELS[0], ChartType(*a_key))]
+    edges = [ChartEdge(stratum, _A_LABELS[0], a_child)]
     edges.extend(ChartEdge(stratum, label, x_child) for label in x_labels)
     return edges
 
@@ -388,29 +382,34 @@ class ResolutionTrace:
 def resolution_trace(chart: ChartType, node_limit: int = 1_000_000) -> ResolutionTrace:
     """Run the rewriting to completion from ``chart``, recording every blow-up.
 
-    One depth-first pass over the (dbar, s) keys expands each distinct chart
-    once, the x_i != 0 chart before the a_1 != 0 chart, and sums the tree size
-    of each chart as it closes, after its children.  ``node_limit`` bounds the
-    tree size: the build fails with ``BudgetExceeded`` at the first subtree
-    that holds more than ``node_limit`` nodes, before the rest is expanded.
-    It fails the same way once the expanded charts would store more than
-    ``MAX_TRACE_CELLS`` cells, charged ``len(dbar) + m + 2`` per expanded
-    chart with a center of size m and ``len(dbar) + 1`` per terminal chart,
-    which bounds the memory of long exponent lists.  The
-    nodes are then assembled in increasing weight (pre-order among equal
-    weights), so every child node exists before its parents.  Since the
-    weights decrease strictly, the rewriting always ends; the budgets bound
-    the work, not a termination bug.
+    One depth-first pass over the charts, which are the walk's keys, expands
+    each distinct chart once, the x_i != 0 chart before the a_1 != 0 chart,
+    and sums the tree size of each chart as it closes, after its children.
+    ``node_limit`` bounds the tree size: the build fails with
+    ``BudgetExceeded`` at the first subtree that holds more than
+    ``node_limit`` nodes, before the rest is expanded.  It fails the same way
+    once the expanded charts would store more than ``MAX_TRACE_CELLS`` cells,
+    charged ``len(dbar) + m + 2`` per expanded chart with a center of size m
+    and ``len(dbar) + 1`` per terminal chart, which bounds the memory of long
+    exponent lists.  The nodes are then assembled in increasing weight
+    (pre-order among equal weights), so every child node exists before its
+    parents.  Since the weights decrease strictly, the rewriting always ends;
+    the budgets bound the work, not a termination bug.
     """
+    chart = ChartType(tuple(chart.dbar), chart.s)
+    if chart.dbar and min(chart.dbar) < 1:
+        raise ValueError(f"chart exponents must be positive, got {chart.dbar}")
+    if chart.s < 0:
+        raise ValueError(f"chart requires s >= 0, got s={chart.s}")
     if node_limit < 1:
         raise ValueError(f"node_limit must be positive, got {node_limit}")
 
     # each distinct chart in pre-order, its blow-up step (None when terminal)
     # and, once closed, its tree size
-    steps: dict[ChartKey, tuple[int, ChartKey, ChartKey] | None] = {}
-    sizes: dict[ChartKey, int] = {}
+    steps: dict[ChartType, tuple[int, ChartType, ChartType] | None] = {}
+    sizes: dict[ChartType, int] = {}
     cells = 0
-    pending = [(chart.dbar, chart.s)]
+    pending = [chart]
     while pending:
         key = pending.pop()
         if key in sizes:
@@ -422,7 +421,7 @@ def resolution_trace(chart: ChartType, node_limit: int = 1_000_000) -> Resolutio
                 raise BudgetExceeded(f"resolution trace from {chart} exceeded {node_limit} nodes")
             continue
         dbar, s = key
-        # a key stores len(dbar) + 1 cells, a blow-up step m + 1 more
+        # a chart stores len(dbar) + 1 cells, a blow-up step m + 1 more
         if dbar and s:
             m, a_key, x_key = steps[key] = _blow_up(dbar, s)
             pending += (key, a_key, x_key)  # close after both children, the x-chart first
@@ -436,11 +435,11 @@ def resolution_trace(chart: ChartType, node_limit: int = 1_000_000) -> Resolutio
             )
 
     centers: dict[int, tuple[str, tuple[str, ...]]] = {}
-    nodes: dict[ChartKey, TraceNode] = {}
-    for key in sorted(steps, key=lambda key: (key[1], sum(key[0]))):
+    nodes: dict[ChartType, TraceNode] = {}
+    for key in sorted(steps, key=ChartType.weight):
         step = steps[key]
         if step is None:
-            nodes[key] = TraceNode(ChartType(*key), ())
+            nodes[key] = TraceNode(key, ())
             continue
         m, a_key, x_key = step
         if m not in centers:
@@ -450,5 +449,5 @@ def resolution_trace(chart: ChartType, node_limit: int = 1_000_000) -> Resolutio
             TraceEdge(stratum, _A_LABELS, nodes[a_key]),
             TraceEdge(stratum, x_labels, nodes[x_key]),
         )
-        nodes[key] = TraceNode(ChartType(*key), edges)
-    return ResolutionTrace(tuple(reversed(nodes.values())), sizes[chart.dbar, chart.s])
+        nodes[key] = TraceNode(key, edges)
+    return ResolutionTrace(tuple(reversed(nodes.values())), sizes[chart])

@@ -575,6 +575,10 @@ PINNED_OUTPUT = {
     "periods --dim 6 --degrees 7 --order 7": "a151471eb87295a7",
     "fg --d 400 --s 400": "1ac52fc16ae40049",
     "resolve-trace --dbar 6,6 --s 4 --node-limit 10": "16ca3844ef8b20fa",
+    "resolve-trace --dbar 6,6,6 --s 6": "140b17e1fa5b1e71",
+    "resolve-trace --dbar 6,6,6 --s 6 --format dot": "81ce00f910bb7ed9",
+    "resolve-trace --dbar 0,2 --s 1": "efc4e76fdb8d8455",
+    "resolve-trace --dbar 3 --s -1": "95867f95d37027e8",
 }
 
 
@@ -621,6 +625,49 @@ class TestEntryPoint:
             sys.set_int_max_str_digits(digits)
         report = hodge_h1(CompleteIntersection(20000, (20001,)))
         assert values == [report.dim_R_prime, report.dim_R, report.h_pr, report.h]
+
+    def test_periods_counts_the_terms_of_f_first(self):
+        # f would have C(41, 20) = 269,128,937,220 terms; the address-space cap
+        # stops the interpreter early should the count ever come after the terms
+        script = (
+            "import resource, time, tracemalloc\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
+            "from fanolg.cli import main\n"
+            "tracemalloc.start()\n"
+            "start = time.perf_counter()\n"
+            "code = main(['periods', '--dim', '20', '--degrees', '21'])\n"
+            "print(code, time.perf_counter() - start, tracemalloc.get_traced_memory()[1])\n"
+        )
+        src = str(Path(fanolg.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+        code, seconds, peak = done.stdout.split()
+        assert code == "3" and float(seconds) < 1 and int(peak) < 2**20
+        assert done.stderr == (
+            "error: the mirror polynomial of dim 20, degrees (21) would have more than"
+            " 20,000,000 terms\n"
+        )
+
+    def test_closed_stdout_exits_4(self):
+        # the reader takes one line of the 229 KB trace and leaves, so the
+        # rest cannot be written
+        src = str(Path(fanolg.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["resolve-trace", "--dbar", "6,6,6", "--s", "6"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "fanolg.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        ) as proc:
+            assert proc.stdout.readline() == "{\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert code == 4
+        assert err == "error: stdout was closed before the output was written\n"
 
     def test_missing_flag(self):
         done = self.fanolg("hodge", "--dim", "3")

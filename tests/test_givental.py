@@ -2,7 +2,7 @@
 
 import random
 from itertools import permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -284,6 +284,19 @@ class TestWorkBudget:
         assert phi_within(monkeypatch, f, 5, 29_954).coefficients == expected
         with pytest.raises(BudgetExceeded):
             phi_within(monkeypatch, f, 5, 29_953)
+
+    def test_terms_of_f_are_charged_before_building(self, monkeypatch):
+        # f of the quintic fourfold has C(9, 4) = 126 terms
+        monkeypatch.setattr(givental, "MAX_TERM_PRODUCTS", 126)
+        assert build_fx(QUINTIC_FOURFOLD).term_count() == 126
+        monkeypatch.setattr(givental, "MAX_TERM_PRODUCTS", 125)
+        with pytest.raises(BudgetExceeded, match="more than 125 terms"):
+            build_fx(QUINTIC_FOURFOLD)
+
+    def test_terms_of_f_formula(self):
+        for ci in fano_sweep(8, 3, 6):
+            expected = prod(comb(2 * d - 1, d - 1) for d in ci.degrees) + ci.l
+            assert build_fx(ci).term_count() == expected, ci
 
     def test_default_budget_stops_a_runaway_expansion(self):
         # f has 1,716 terms; power 3 alone would form about 57M products

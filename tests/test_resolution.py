@@ -312,6 +312,58 @@ class TestChartChildren:
             chart_children(ChartType((), 4))
 
 
+class Exponent(int):
+    """An exponent that counts the comparisons ``exponent < 1``, the chart
+    check's test of the smallest exponent."""
+
+    checks = 0
+
+    def __lt__(self, other):
+        if type(other) is int and other == 1:
+            Exponent.checks += 1
+        return int.__lt__(self, other)
+
+
+class TestChartEntry:
+    def test_a_chart_is_its_tuple(self):
+        chart = ChartType((3, 2), 1)
+        assert chart == ((3, 2), 1) and hash(chart) == hash(((3, 2), 1))
+        assert repr(chart) == "ChartType(dbar=(3, 2), s=1)"
+        assert str(chart) == "L((3, 2); s=1)"
+        assert chart.weight() == (1, 5) and not chart.is_terminal
+
+    @pytest.mark.parametrize(
+        "chart, message",
+        [
+            (ChartType((0, 2), 1), r"chart exponents must be positive, got \(0, 2\)"),
+            (ChartType((3,), -1), r"chart requires s >= 0, got s=-1"),
+        ],
+    )
+    def test_checked_where_it_enters(self, chart, message):
+        for enter in (resolution_trace, chart_children):
+            with pytest.raises(ValueError, match=message):
+                enter(chart)
+
+    def test_dbar_made_a_tuple(self):
+        trace = resolution_trace(ChartType([3, 2], 2))
+        assert type(trace.root.chart.dbar) is tuple
+        assert trace.to_json_dict() == resolution_trace(ChartType((3, 2), 2)).to_json_dict()
+        assert [edge.child for edge in chart_children(ChartType([3], 1))] == [
+            ChartType((2,), 1),
+            ChartType((3, 2), 0),
+        ]
+
+    def test_checked_once_per_call(self, monkeypatch):
+        # the derived charts keep Exponent entries, so checking them again
+        # would count more
+        monkeypatch.setattr(Exponent, "checks", 0)
+        chart = ChartType(tuple(map(Exponent, (6, 6, 6))), 6)
+        assert resolution_trace(chart).node_count == 7231
+        assert Exponent.checks == 1
+        chart_children(chart)
+        assert Exponent.checks == 2
+
+
 class TestResolutionTrace:
     def test_ordinary_double_point_chains(self):
         # a^(d+1) = lambda*x resolves along a chain of d+1 blow-ups in the a-chart
