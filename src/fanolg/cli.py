@@ -12,9 +12,10 @@ Each subcommand returns its exit code and one payload, and ``main`` renders
 the payload whole through one of the command's views (text, JSON, DOT or CSV)
 before writing any of it, so an answer is printed whole or not at all.  Exact
 answers may pass the 4,300 digits ``str(int)`` allows by default, so the limit
-is lifted while a payload is rendered.  JSON output renders every numeric
-field as a decimal string, since the exact values outgrow 64-bit integers
-quickly; ``_render_json`` writes it in one pass.
+is lifted while a payload is rendered, and while a variety is built from its
+parsed numbers, whose error messages may print their sum.  JSON output
+renders every numeric field as a decimal string, since the exact values
+outgrow 64-bit integers quickly; ``_render_json`` writes it in one pass.
 
 Each run builds the parser of the subcommand it names and no other (see
 ``_build_parser``); the subcommands live in one table, ``_COMMANDS``, and
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Sequence
 
@@ -42,6 +44,18 @@ from .resolution import (
     resolution_trace,
 )
 from .varieties import CompleteIntersection, fano_sweep
+
+
+@contextmanager
+def _whole_numbers():
+    """Lift the int-to-str digit limit for the block, so that exact numbers of
+    any length print whole; input text is parsed outside such a block."""
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -109,7 +123,8 @@ def _render(obj, newline: str, write) -> None:
 
 def _make_ci(args: argparse.Namespace) -> CompleteIntersection:
     degrees = _parse_int_list(args.degrees, "degrees")
-    return CompleteIntersection(args.dim, degrees)
+    with _whole_numbers():
+        return CompleteIntersection(args.dim, degrees)
 
 
 def _cmd_hodge(args: argparse.Namespace) -> tuple[int, dict]:
@@ -398,12 +413,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     _, _, run = _COMMANDS[args.command]
     try:
         code, payload = run(args)
-        digits = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
+        with _whole_numbers():
             text = _VIEWS[args.command][args.format](payload)
-        finally:
-            sys.set_int_max_str_digits(digits)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

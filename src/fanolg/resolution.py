@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from operator import getitem, mul
 from typing import Iterator, NamedTuple
 
@@ -228,6 +229,11 @@ class ChartEdge(NamedTuple):
     child: ChartType
 
 
+# ChartType((dbar, s)) without the generated __new__, a Python-level function;
+# the rewriting builds every derived chart from checked ones this way
+_chart = partial(tuple.__new__, ChartType)
+
+
 def _blow_up(dbar: tuple[int, ...], s: int) -> tuple[int, ChartType, ChartType]:
     """The rewriting rule on a non-terminal chart: the center size m, the
     a_1 != 0 chart and the (isomorphic) x_i != 0 charts."""
@@ -235,8 +241,8 @@ def _blow_up(dbar: tuple[int, ...], s: int) -> tuple[int, ChartType, ChartType]:
     m = min(d1, s)
     rest = d1 - m
     if rest:
-        return m, ChartType((rest,) + dbar[1:], s), ChartType(dbar + (rest,), s - 1)
-    return m, ChartType(dbar[1:], s), ChartType(dbar, s - 1)
+        return m, _chart(((rest,) + dbar[1:], s)), _chart((dbar + (rest,), s - 1))
+    return m, _chart((dbar[1:], s)), _chart((dbar, s - 1))
 
 
 _A_LABELS = ("a1 != 0",)
@@ -382,19 +388,22 @@ class ResolutionTrace:
 def resolution_trace(chart: ChartType, node_limit: int = 1_000_000) -> ResolutionTrace:
     """Run the rewriting to completion from ``chart``, recording every blow-up.
 
-    One depth-first pass over the charts, which are the walk's keys, expands
-    each distinct chart once, the x_i != 0 chart before the a_1 != 0 chart,
-    and sums the tree size of each chart as it closes, after its children.
-    ``node_limit`` bounds the tree size: the build fails with
-    ``BudgetExceeded`` at the first subtree that holds more than
-    ``node_limit`` nodes, before the rest is expanded.  It fails the same way
-    once the expanded charts would store more than ``MAX_TRACE_CELLS`` cells,
-    charged ``len(dbar) + m + 2`` per expanded chart with a center of size m
-    and ``len(dbar) + 1`` per terminal chart, which bounds the memory of long
-    exponent lists.  The nodes are then assembled in increasing weight
-    (pre-order among equal weights), so every child node exists before its
-    parents.  Since the weights decrease strictly, the rewriting always ends;
-    the budgets bound the work, not a termination bug.
+    One depth-first pass expands each distinct chart once, the x_i != 0 chart
+    before the a_1 != 0 chart, and sums the tree size of each chart as it
+    closes, after its children.  A chart is hashed once, when it is first
+    seen, and gets an integer id; the walk runs on ids, over plain lists of
+    blow-up steps and tree sizes.  ``node_limit`` bounds the tree size: the
+    build fails with ``BudgetExceeded`` once more than ``node_limit`` distinct
+    charts are seen (each is at least one tree node) or at the first subtree
+    that holds more than ``node_limit`` nodes, before the rest is expanded.
+    It fails the same way once the expanded charts would store more than
+    ``MAX_TRACE_CELLS`` cells, charged ``len(dbar) + m + 2`` per expanded
+    chart with a center of size m and ``len(dbar) + 1`` per terminal chart,
+    which bounds the memory of long exponent lists.  The nodes are then
+    assembled in increasing weight (pre-order among equal weights), so every
+    child node exists before its parents.  Since the weights decrease
+    strictly, the rewriting always ends; the budgets bound the work, not a
+    termination bug.
     """
     chart = ChartType(tuple(chart.dbar), chart.s)
     if chart.dbar and min(chart.dbar) < 1:
@@ -404,50 +413,76 @@ def resolution_trace(chart: ChartType, node_limit: int = 1_000_000) -> Resolutio
     if node_limit < 1:
         raise ValueError(f"node_limit must be positive, got {node_limit}")
 
-    # each distinct chart in pre-order, its blow-up step (None when terminal)
-    # and, once closed, its tree size
-    steps: dict[ChartType, tuple[int, ChartType, ChartType] | None] = {}
-    sizes: dict[ChartType, int] = {}
+    def exceeded() -> BudgetExceeded:
+        return BudgetExceeded(f"resolution trace from {chart} exceeded {node_limit} nodes")
+
+    # per id: the chart, its blow-up step (None when terminal or not yet
+    # expanded) and its tree size (0 until closed); the ids in pre-order
+    ids = {chart: 0}
+    charts = [chart]
+    steps: list[tuple[int, int, int] | None] = [None]
+    sizes = [0]
+    order: list[int] = []
     cells = 0
-    pending = [chart]
+    pending = [0]
     while pending:
-        key = pending.pop()
-        if key in sizes:
+        i = pending.pop()
+        if sizes[i]:
             continue
-        if key in steps:  # met again only to close it, since no chart is its own descendant
-            _, a_key, x_key = steps[key]
-            size = sizes[key] = 1 + sizes[a_key] + sizes[x_key]
+        step = steps[i]
+        if step:  # met again only to close it, since no chart is its own descendant
+            _, a, x = step
+            size = sizes[i] = 1 + sizes[a] + sizes[x]
             if size > node_limit:
-                raise BudgetExceeded(f"resolution trace from {chart} exceeded {node_limit} nodes")
+                raise exceeded()
             continue
-        dbar, s = key
+        order.append(i)
+        dbar, s = charts[i]
         # a chart stores len(dbar) + 1 cells, a blow-up step m + 1 more
         if dbar and s:
-            m, a_key, x_key = steps[key] = _blow_up(dbar, s)
-            pending += (key, a_key, x_key)  # close after both children, the x-chart first
+            m, a_chart, x_chart = _blow_up(dbar, s)
+            a = ids.setdefault(a_chart, len(charts))
+            if a == len(charts):
+                charts.append(a_chart)
+                steps.append(None)
+                sizes.append(0)
+            x = ids.setdefault(x_chart, len(charts))
+            if x == len(charts):
+                charts.append(x_chart)
+                steps.append(None)
+                sizes.append(0)
+            if len(charts) > node_limit:
+                raise exceeded()
+            steps[i] = (m, a, x)
+            pending += (i, a, x)  # close after both children, the x-chart first
             cells += len(dbar) + m + 2
         else:
-            steps[key], sizes[key] = None, 1
+            sizes[i] = 1
             cells += len(dbar) + 1
         if cells > MAX_TRACE_CELLS:
             raise BudgetExceeded(
                 f"resolution trace from {chart} would store more than {MAX_TRACE_CELLS:,} cells"
             )
+    node_count = sizes[0]
+    del ids, sizes
 
+    order.sort(key=list(map(ChartType.weight, charts)).__getitem__)
+    new_node = partial(tuple.__new__, TraceNode)
+    new_edge = partial(tuple.__new__, TraceEdge)
     centers: dict[int, tuple[str, tuple[str, ...]]] = {}
-    nodes: dict[ChartType, TraceNode] = {}
-    for key in sorted(steps, key=ChartType.weight):
-        step = steps[key]
+    nodes: list = steps  # each step gives way to its node, built after its children's
+    for i in order:
+        step = nodes[i]
         if step is None:
-            nodes[key] = TraceNode(key, ())
+            nodes[i] = new_node((charts[i], ()))
             continue
-        m, a_key, x_key = step
+        m, a, x = step
         if m not in centers:
             centers[m] = _center(m)
         stratum, x_labels = centers[m]
         edges = (
-            TraceEdge(stratum, _A_LABELS, nodes[a_key]),
-            TraceEdge(stratum, x_labels, nodes[x_key]),
+            new_edge((stratum, _A_LABELS, nodes[a])),
+            new_edge((stratum, x_labels, nodes[x])),
         )
-        nodes[key] = TraceNode(key, edges)
-    return ResolutionTrace(tuple(reversed(nodes.values())), sizes[chart])
+        nodes[i] = new_node((charts[i], edges))
+    return ResolutionTrace(tuple(map(nodes.__getitem__, reversed(order))), node_count)

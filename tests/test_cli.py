@@ -432,6 +432,15 @@ class TestWholeAnswers:
         assert code == 2 and out == ""
         assert reason in err.splitlines()[-1]
 
+    def test_error_message_past_the_digit_limit_prints_whole(self, capsys):
+        # each degree has 4,300 digits, their sum 4,301
+        before = sys.get_int_max_str_digits()
+        nines = "9" * 4300
+        code, out, err = run(capsys, "hodge", "--dim", "3", "--degrees", f"{nines},{nines}")
+        assert (code, out) == (2, "")
+        assert err == f"error: not Fano: total degree 1{nines[:-1]}8 exceeds dim + k = 5\n"
+        assert sys.get_int_max_str_digits() == before
+
     def test_sweep_is_all_or_nothing(self, capsys, monkeypatch):
         calls = []
 

@@ -1,10 +1,15 @@
 """Tests for the counting recursions, closed forms, and the blow-up rewriting."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import cache
 from itertools import product
 from math import ceil, comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -447,6 +452,40 @@ class TestResolutionTrace:
             tracemalloc.stop()
         assert peak < 40 * 2**20
 
+    def test_chain_refused_by_its_distinct_charts(self):
+        # a chain of 10^8 blow-ups closes no chart before its bottom, so the
+        # tree size is known only there; its distinct charts pass the limit early
+        chart = ChartType((1,), 10**8)
+        with pytest.raises(BudgetExceeded, match="exceeded 1000 nodes"):
+            resolution_trace(chart, node_limit=1000)
+        assert traced_peak(outcome, resolution_trace, chart, 1000) < 2**20
+
+    def test_large_chart_equals_worklist_build(self):
+        # (8, 8, 8) s = 8 lies past the range of the property tests below
+        chart = ChartType((8, 8, 8), 8)
+        trace, oracle = resolution_trace(chart), worklist_trace(chart)
+        assert trace.node_count == oracle.node_count == 93747
+        assert trace.to_json_dict() == oracle.to_json_dict()
+        assert trace.to_dot() == oracle.to_dot()
+        # in a fresh interpreter, whose free lists hold nothing yet, so that
+        # the peak does not depend on the tests run before: 1.77 MiB on
+        # CPython 3.11
+        script = (
+            "import tracemalloc\n"
+            "from fanolg import ChartType, resolution_trace\n"
+            "tracemalloc.start()\n"
+            "resolution_trace(ChartType((8, 8, 8), 8))\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        src = str(Path(resolution.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 1.95 * 2**20
+
     @pytest.mark.parametrize("d", [300, 2000, 99999])
     def test_cell_budget(self, d):
         # long exponent lists: each chart of the x-chart chain stores up to s entries
@@ -530,3 +569,22 @@ class TestTraceSerialization:
         dot = trace.to_dot()
         assert dot.count("[label=\"dbar=") == len(trace.nodes) == 679
         assert dot.count(" -> ") == sum(1 for _ in trace.iter_edges())
+
+    def test_pinned_output(self):
+        # the criterion-8 family and (8, 8, 8) s = 8, the charts of the traces
+        # benchmark in its order: every byte of their JSON and DOT is pinned
+        charts = [
+            ChartType(dbar, s)
+            for k in (1, 2, 3)
+            for dbar in product(range(1, 7), repeat=k)
+            for s in range(7)
+        ]
+        charts.append(ChartType((8, 8, 8), 8))
+        assert len(charts) == 1807
+        json_digest, dot_digest = hashlib.sha256(), hashlib.sha256()
+        for chart in charts:
+            trace = resolution_trace(chart)
+            json_digest.update(json.dumps(trace.to_json_dict()).encode())
+            dot_digest.update(trace.to_dot().encode())
+        assert json_digest.hexdigest()[:16] == "2f35a41fae6797c5"
+        assert dot_digest.hexdigest()[:16] == "29c5bf1e9be24a04"
