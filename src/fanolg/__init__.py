@@ -53,7 +53,6 @@ from .resolution import (
     TraceNode,
     chart_children,
     f_closed,
-    f_multi,
     f_rec,
     fg_rec,
     g_closed,
@@ -99,7 +98,6 @@ __all__ = [
     "fg_rec",
     "f_closed",
     "g_closed",
-    "f_multi",
     "chart_children",
     "resolution_trace",
     "StratumContribution",

@@ -4,9 +4,10 @@ Every computation is exposed with machine-readable output.  Exit codes: 0 for
 success (including successful verification), 1 for a failed verification, 2
 for invalid input, 3 for an exceeded work budget (``BudgetExceeded``: trace
 tree nodes or cells, period term products, recursion or inclusion-exclusion
-summands, strata, terms of the mirror polynomial) and 4 for any other error,
-a closed stdout included; codes 2 to 4 come with a one-line ``error:`` on
-stderr and, but for a closed stdout, nothing on stdout.
+summands, strata, terms of the mirror polynomial, binomials too large to
+form) and 4 for any other error, a closed stdout included; codes 2 to 4 come
+with a one-line ``error:`` on stderr and, but for a closed stdout, nothing on
+stdout.
 
 Each subcommand returns its exit code and one payload, and ``main`` renders
 the payload whole through one of the command's views (text, JSON, DOT or CSV)
@@ -18,8 +19,9 @@ renders every numeric field as a decimal string, since the exact values
 outgrow 64-bit integers quickly; ``_render_json`` writes it in one pass.
 
 Each run builds the parser of the subcommand it names and no other (see
-``_build_parser``); the subcommands live in one table, ``_COMMANDS``, and
-their views in another, ``_VIEWS``.
+``_build_parser``).  The subcommands live in one table, ``_COMMANDS``: per
+command its help, its arguments, its run and its views, from which the parser
+takes the ``--format`` choices.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .givental import verify_period
 from .jacobian_ring import hodge_h1
 from .lg_count import k_lg, verify_main_theorem
 from .resolution import (
+    DEFAULT_NODE_LIMIT,
     ChartType,
     ResolutionTrace,
     f_closed,
@@ -212,7 +215,7 @@ def _cmd_resolve_trace(args: argparse.Namespace) -> tuple[int, ResolutionTrace]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[int, list]:
-    sweep = fano_sweep(args.max_dim, args.max_k, args.max_degree, min_dim=args.min_dim)
+    sweep = fano_sweep(args.max_dim, args.max_k, args.max_degree)
     return 0, [(ci, verify_main_theorem(ci)) for ci in sweep]
 
 
@@ -297,17 +300,8 @@ def _add_ci_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_format_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-
-def _add_ci_args(p: argparse.ArgumentParser) -> None:
-    _add_ci_flags(p)
-    _add_format_flag(p)
-
-
 def _add_klg_args(p: argparse.ArgumentParser) -> None:
-    _add_ci_args(p)
+    _add_ci_flags(p)
     p.add_argument("--strata", action="store_true", help="list each stratum that carries divisors")
 
 
@@ -316,13 +310,11 @@ def _add_periods_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--order", type=int, default=None, help="truncation order (default: 3 * index)"
     )
-    _add_format_flag(p)
 
 
 def _add_fg_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    _add_format_flag(p)
 
 
 def _add_resolve_trace_args(p: argparse.ArgumentParser) -> None:
@@ -331,52 +323,51 @@ def _add_resolve_trace_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--node-limit",
         type=int,
-        default=1_000_000,
+        default=DEFAULT_NODE_LIMIT,
         help="budget on the nodes of the rewriting tree, shared subtrees counted each time",
     )
-    p.add_argument("--format", choices=("json", "dot"), default="json")
 
 
 def _add_sweep_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--min-dim", type=int, default=2)
     p.add_argument("--max-dim", type=int, default=8)
     p.add_argument("--max-k", type=int, default=3)
     p.add_argument("--max-degree", type=int, default=6)
-    p.set_defaults(format="csv")  # the one view of sweep; no flag selects it
 
 
-# name -> (help, adds the subcommand's arguments, runs it), in the order of --help
+# name -> (help, adds the subcommand's arguments, runs it, its views by --format),
+# in the order of --help.  A view renders a whole payload without the final
+# newline; the first is the default.  The trace views look the trace's methods up
+# at call time, as bench/tracer.py binds them.
 _COMMANDS = {
-    "hodge": ("Hodge number h^{1,N-1} and the ring dimensions", _add_ci_args, _cmd_hodge),
-    "klg": ("central-fiber component count of the mirror model", _add_klg_args, _cmd_klg),
-    "verify": ("check h^{1,N-1} against k_LG (exit 1 on failure)", _add_ci_args, _cmd_verify),
-    "periods": (
-        "constant-term expansion vs closed-form series", _add_periods_args, _cmd_periods
+    "hodge": (
+        "Hodge number h^{1,N-1} and the ring dimensions", _add_ci_flags, _cmd_hodge,
+        {"text": _hodge_text, "json": _render_json},
     ),
-    "fg": ("F(d,s) and G(d,s) by recursion and closed form", _add_fg_args, _cmd_fg),
+    "klg": (
+        "central-fiber component count of the mirror model", _add_klg_args, _cmd_klg,
+        {"text": _klg_text, "json": _render_json},
+    ),
+    "verify": (
+        "check h^{1,N-1} against k_LG (exit 1 on failure)", _add_ci_flags, _cmd_verify,
+        {"text": _verify_text, "json": _render_json},
+    ),
+    "periods": (
+        "constant-term expansion vs closed-form series", _add_periods_args, _cmd_periods,
+        {"text": _periods_text, "json": _render_json},
+    ),
+    "fg": (
+        "F(d,s) and G(d,s) by recursion and closed form", _add_fg_args, _cmd_fg,
+        {"text": _fg_text, "json": _render_json},
+    ),
     "resolve-trace": (
         "blow-up rewriting of a local model, one node per distinct chart",
-        _add_resolve_trace_args,
-        _cmd_resolve_trace,
+        _add_resolve_trace_args, _cmd_resolve_trace,
+        {"json": lambda t: _render_json(t.to_json_dict()), "dot": lambda t: t.to_dot()},
     ),
     "sweep": (
-        "CSV table over a range of Fano complete intersections", _add_sweep_args, _cmd_sweep
+        "CSV table over a range of Fano complete intersections", _add_sweep_args, _cmd_sweep,
+        {"csv": _sweep_csv},
     ),
-}
-
-# name -> its views by --format, each rendering a whole payload without the final
-# newline; the trace views look its methods up at call time, as bench/tracer.py binds them
-_VIEWS = {
-    "hodge": {"text": _hodge_text, "json": _render_json},
-    "klg": {"text": _klg_text, "json": _render_json},
-    "verify": {"text": _verify_text, "json": _render_json},
-    "periods": {"text": _periods_text, "json": _render_json},
-    "fg": {"text": _fg_text, "json": _render_json},
-    "resolve-trace": {
-        "json": lambda trace: _render_json(trace.to_json_dict()),
-        "dot": lambda trace: trace.to_dot(),
-    },
-    "sweep": {"csv": _sweep_csv},
 }
 
 
@@ -401,8 +392,14 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in _COMMANDS if command is None else [command]:
-        help_text, add_arguments, _ = _COMMANDS[name]
-        add_arguments(sub.add_parser(name, help=help_text))
+        help_text, add_arguments, _, views = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        default = next(iter(views))
+        if len(views) > 1:
+            p.add_argument("--format", choices=tuple(views), default=default)
+        else:  # the one view; no flag selects it
+            p.set_defaults(format=default)
     return parser
 
 
@@ -410,11 +407,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = _build_parser(command).parse_args(argv)
-    _, _, run = _COMMANDS[args.command]
+    _, _, run, views = _COMMANDS[args.command]
     try:
         code, payload = run(args)
         with _whole_numbers():
-            text = _VIEWS[args.command][args.format](payload)
+            text = views[args.format](payload)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -14,8 +14,8 @@ from typing import Iterator, Sequence
 class BudgetExceeded(RuntimeError):
     """Raised, before the work is done, when a computation would pass one of
     its work budgets: trace nodes or cells, mirror-polynomial terms,
-    constant-term products, recursion or inclusion-exclusion summands, strata.
-    The CLI exits 3 on it."""
+    constant-term products, recursion or inclusion-exclusion summands, strata,
+    binomials too large to form.  The CLI exits 3 on it."""
 
 
 def capped_vectors(
@@ -59,12 +59,21 @@ def binomial(n: int, k: int) -> int:
     The vanishing convention is load-bearing: the counting formulas downstream
     sum binomials whose lower index walks out of range and rely on those terms
     dropping out.  Negative n is rejected rather than analytically continued.
+    A value ``math.comb`` cannot form (min(k, n - k) past 2^63 - 1) raises
+    ``BudgetExceeded``; its message gives bit lengths, since n and k may be
+    too long for ``str``.
     """
     if n < 0:
         raise ValueError(f"binomial requires n >= 0, got n={n}")
     if k < 0 or k > n:
         return 0
-    return comb(n, k)
+    try:
+        return comb(n, k)
+    except OverflowError:
+        raise BudgetExceeded(
+            f"the binomial C(n, k) with n of {n.bit_length():,} bits and k of"
+            f" {k.bit_length():,} bits is too large to compute"
+        ) from None
 
 
 def binomial_row(n: int, cap: int) -> list[int]:

@@ -3,9 +3,9 @@
     a_1^{d_1} * ... * a_k^{d_k} = lambda * x_1 * ... * x_s,
 
 viewed as families over the lambda-line.  The module provides the counting
-functions F and G (mutual recursion and closed binomial forms), their
-multi-exponent sum, and a chart-rewriting simulator of the blow-up procedure
-whose lexicographically decreasing weight proves termination.
+functions F and G (mutual recursion and closed binomial forms) and a
+chart-rewriting simulator of the blow-up procedure whose lexicographically
+decreasing weight proves termination.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ MAX_RECURSION_SUMMANDS = 1_000_000
 # family and (8, 8, 8) s = 8 need at most 34,966 (that chart itself),
 # (6, 6, 6) s = 6 needs 4,316.
 MAX_TRACE_CELLS = 10_000_000
+
+# Tree nodes a resolution trace may hold unless told otherwise (``--node-limit``).
+DEFAULT_NODE_LIMIT = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -179,22 +182,6 @@ def f_closed(d: int, s: int) -> int:
     return binomial(d + s - 1, s)
 
 
-def f_multi(dbar: tuple[int, ...], s: int) -> int:
-    """Components over lambda = 0 for the multi-exponent model
-    a_1^{d_1} ... a_k^{d_k} = lambda * x_1 ... x_s.
-
-    Resolving the singularities along a_1 = 0, then a_2 = 0, and so on splits
-    the count into one summand per exponent, so the total is sum_i F(d_i, s),
-    each by its closed form.
-    """
-    dbar = tuple(dbar)
-    if not dbar:
-        raise ValueError("f_multi requires a nonempty exponent list")
-    if any(d < 1 for d in dbar):
-        raise ValueError(f"f_multi exponents must be positive, got {dbar}")
-    return sum(f_closed(d, s) for d in dbar)
-
-
 # ---------------------------------------------------------------------------
 # chart rewriting
 
@@ -254,6 +241,17 @@ def _center(m: int) -> tuple[str, tuple[str, ...]]:
     return stratum, tuple(f"x{i} != 0" for i in range(1, m + 1))
 
 
+def _entering(chart: ChartType) -> ChartType:
+    """A chart given from outside, checked: its ``dbar`` made a tuple, its
+    exponents positive and s >= 0."""
+    chart = ChartType(tuple(chart.dbar), chart.s)
+    if chart.dbar and min(chart.dbar) < 1:
+        raise ValueError(f"chart exponents must be positive, got {chart.dbar}")
+    if chart.s < 0:
+        raise ValueError(f"chart requires s >= 0, got s={chart.s}")
+    return chart
+
+
 def chart_children(chart: ChartType) -> list[ChartEdge]:
     """One blow-up step applied to a non-terminal chart, one edge per chart of
     the blow-up (a thin wrapper over the rule that ``resolution_trace`` uses).
@@ -266,11 +264,7 @@ def chart_children(chart: ChartType) -> list[ChartEdge]:
     a-chart loses a_1 entirely and the x-charts keep dbar unchanged.  Every
     child weight is strictly smaller than the parent weight.
     """
-    chart = ChartType(tuple(chart.dbar), chart.s)
-    if chart.dbar and min(chart.dbar) < 1:
-        raise ValueError(f"chart exponents must be positive, got {chart.dbar}")
-    if chart.s < 0:
-        raise ValueError(f"chart requires s >= 0, got s={chart.s}")
+    chart = _entering(chart)
     if chart.is_terminal:
         raise ValueError(f"chart {chart} is terminal (smooth); there is nothing to blow up")
     m, a_child, x_child = _blow_up(*chart)
@@ -385,7 +379,7 @@ class ResolutionTrace:
         return "\n".join(lines)
 
 
-def resolution_trace(chart: ChartType, node_limit: int = 1_000_000) -> ResolutionTrace:
+def resolution_trace(chart: ChartType, node_limit: int = DEFAULT_NODE_LIMIT) -> ResolutionTrace:
     """Run the rewriting to completion from ``chart``, recording every blow-up.
 
     One depth-first pass expands each distinct chart once, the x_i != 0 chart
@@ -405,11 +399,7 @@ def resolution_trace(chart: ChartType, node_limit: int = 1_000_000) -> Resolutio
     strictly, the rewriting always ends; the budgets bound the work, not a
     termination bug.
     """
-    chart = ChartType(tuple(chart.dbar), chart.s)
-    if chart.dbar and min(chart.dbar) < 1:
-        raise ValueError(f"chart exponents must be positive, got {chart.dbar}")
-    if chart.s < 0:
-        raise ValueError(f"chart requires s >= 0, got s={chart.s}")
+    chart = _entering(chart)
     if node_limit < 1:
         raise ValueError(f"node_limit must be positive, got {node_limit}")
 

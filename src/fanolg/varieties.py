@@ -59,16 +59,14 @@ class CompleteIntersection:
         return f"dim {self.dim}, degrees ({', '.join(map(str, self.degrees))})"
 
 
-def fano_sweep(
-    max_dim: int, max_k: int, max_degree: int, *, min_dim: int = 2
-) -> Iterator[CompleteIntersection]:
-    """All Fano complete intersections with dimension in [min_dim, max_dim], at most
+def fano_sweep(max_dim: int, max_k: int, max_degree: int) -> Iterator[CompleteIntersection]:
+    """All Fano complete intersections with dimension in [2, max_dim], at most
     max_k hypersurfaces and degrees in [2, max_degree].
 
     One representative per unordered degree multiset (nondecreasing tuples), in
     deterministic (dim, k, degrees) order.
     """
-    for dim in range(min_dim, max_dim + 1):
+    for dim in range(2, max_dim + 1):
         for k in range(1, max_k + 1):
             for degrees in combinations_with_replacement(range(2, max_degree + 1), k):
                 if sum(degrees) <= dim + k:

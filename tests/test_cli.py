@@ -91,6 +91,16 @@ class TestHodge:
         assert err.startswith("error:") and "summands" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["hodge", "verify"])
+    def test_binomial_too_large_to_form_is_a_one_line_error(self, capsys, command):
+        # index 2, so delta_j needs C(n, k) with k of about 14,000 bits
+        nines = "9" * 4300
+        code, out, err = run(capsys, command, "--dim", nines, "--degrees", nines)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: the binomial C(n, k) with n of 14,286 bits")
+        assert err.count("\n") == 1
+
     def test_json_values_are_decimal_strings(self, capsys):
         code, out, _ = run(capsys, "hodge", "--dim", "3", "--degrees", "3", "--format", "json")
         assert code == 0
@@ -415,7 +425,7 @@ class TestWholeAnswers:
         def crash(payload):
             raise RuntimeError("injected")
 
-        monkeypatch.setitem(cli._VIEWS["hodge"], "text", crash)
+        monkeypatch.setitem(cli._COMMANDS["hodge"][3], "text", crash)
         code, out, _ = run(capsys, "hodge", "--dim", "3", "--degrees", "3")
         assert (code, out) == (4, "")
         assert sys.get_int_max_str_digits() == before
@@ -597,6 +607,36 @@ class TestPinnedOutput:
         monkeypatch.setenv("COLUMNS", "80")
         result = run(capsys, *line.split())
         assert hashlib.sha256(repr(result).encode()).hexdigest()[:16] == PINNED_OUTPUT[line]
+
+
+def readme_command_lines():
+    """Every ``fanolg`` line of the README's command-line block as argv, comments
+    dropped; an optional ``[...]`` part gives one line with it and one without."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        words = line.partition("#")[0].split()
+        if words[:1] != ["fanolg"]:
+            continue
+        text = " ".join(words[1:])
+        if "[" in text:
+            head, _, rest = text.partition("[")
+            option, _, tail = rest.partition("]")
+            lines += [f"{head}{option}{tail}".split(), f"{head}{tail}".split()]
+        else:
+            lines.append(text.split())
+    return lines
+
+
+class TestReadmeCommands:
+    def test_every_line_is_found(self):
+        assert len(readme_command_lines()) == 8
+
+    @pytest.mark.parametrize("argv", readme_command_lines(), ids=" ".join)
+    def test_answers(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.strip()
 
 
 class TestEntryPoint:

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanolg import binomial, capped_vectors, convolution_identity_sides, multinomial
+from fanolg import (
+    BudgetExceeded,
+    binomial,
+    capped_vectors,
+    convolution_identity_sides,
+    multinomial,
+)
 from fanolg.exactmath import binomial_row, count_capped_vectors
 
 
@@ -81,6 +87,12 @@ class TestBinomial:
 
     def test_exactness_beyond_64_bits(self):
         assert binomial(120, 60) == factorial(120) // factorial(60) ** 2
+
+    def test_too_large_to_form_is_a_budget_error(self):
+        # math.comb takes min(k, n - k) only up to 2^63 - 1
+        with pytest.raises(BudgetExceeded, match="n of 65 bits and k of 64 bits"):
+            binomial(2**64, 2**63)
+        assert binomial(2**64, 2) == 2**63 * (2**64 - 1)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 300), st.integers(0, 300))

@@ -23,7 +23,6 @@ from fanolg import (
     TraceNode,
     chart_children,
     f_closed,
-    f_multi,
     f_rec,
     fg_rec,
     g_closed,
@@ -255,24 +254,6 @@ class TestCountingFunctions:
             fg_rec(0, 1)
         with pytest.raises(ValueError):
             fg_rec(3, -1)
-
-
-class TestFMulti:
-    def test_examples(self):
-        assert f_multi((3,), 2) == 6
-        assert f_multi((2, 3), 1) == 2 + 3 == 5
-        for s in range(0, 11):
-            assert f_multi((1, 1, 1), s) == 3
-
-    def test_recursive_route_agrees(self):
-        for k in (1, 2, 3):
-            for dbar in product(range(1, 9), repeat=k):
-                for s in range(0, 9):
-                    assert f_multi(dbar, s) == sum(f_rec(d, s) for d in dbar)
-
-    def test_empty_dbar_rejected(self):
-        with pytest.raises(ValueError):
-            f_multi((), 2)
 
 
 class TestChartChildren:
