@@ -40,17 +40,24 @@ def capped_vectors(
     yield from level
 
 
-def count_capped_vectors(caps: Sequence[int], bound: int) -> int:
-    """How many vectors ``capped_vectors(caps, bound)`` yields, without listing
-    them: ways[s] counts the prefixes of sum s, extended one cap at a time by a
-    sliding window over prefix sums, in O(len(caps) * bound) additions."""
+def capped_sum_counts(caps: Sequence[int], bound: int) -> list[int]:
+    """ways[s] for s = 0..bound: how many vectors of ``capped_vectors(caps,
+    bound)`` have sum s, without listing them.  The prefixes are extended one
+    cap at a time by a sliding window over prefix sums, in O(len(caps) * bound)
+    additions.  A negative bound gives the empty list."""
     if bound < 0:
-        return 0
+        return []
     ways = [1] + [0] * bound
     for cap in caps:
         prefix = [0, *accumulate(ways)]
         ways = [prefix[s + 1] - prefix[max(0, s - cap)] for s in range(bound + 1)]
-    return sum(ways)
+    return ways
+
+
+def count_capped_vectors(caps: Sequence[int], bound: int) -> int:
+    """How many vectors ``capped_vectors(caps, bound)`` yields, without listing
+    them."""
+    return sum(capped_sum_counts(caps, bound))
 
 
 def binomial(n: int, k: int) -> int:

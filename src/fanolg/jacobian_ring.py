@@ -2,15 +2,17 @@
 
 It equals the dimension of one bigraded piece of the Jacobian-type ring of the
 defining equations, and that dimension depends only on the degrees.  The module
-computes it by three routes that must agree: a closed inclusion-exclusion
-formula, a nested binomial sum, and direct monomial enumeration.
+computes it by two routes that must agree: a closed inclusion-exclusion
+formula, and a count of the monomial basis by the totals of its capped head
+exponents.  The nested binomial sum of ``alt_dim_formula`` is the second route's
+sum, term for term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactmath import BudgetExceeded, binomial, capped_vectors
+from .exactmath import BudgetExceeded, binomial, capped_sum_counts
 from .varieties import CompleteIntersection
 
 
@@ -83,21 +85,20 @@ def dim_R_prime_1(ci: CompleteIntersection) -> int:
 
 
 def count_monomials_oracle(ci: CompleteIntersection) -> int:
-    """The same dimension as ``dim_R_prime_1``, by direct enumeration of the
-    monomial basis.
+    """The same dimension as ``dim_R_prime_1``, by counting the monomial basis.
 
     For each j the basis monomials carry total degree d_j - index across the
-    ambient variables, with the first k exponents capped at d_t - 1.  The k
-    capped exponents are enumerated explicitly; the dim + 1 free ones are
-    counted by stars and bars, which keeps the enumeration polynomial.  Only
-    heads of total at most the target degree are enumerated.
+    ambient variables, with the first k exponents (the head) capped at d_t - 1.
+    The heads are counted by their total s in one sliding-window pass up to the
+    largest target degree (``capped_sum_counts``), and the dim + 1 free
+    exponents of a head of total s by stars and bars, so nothing is listed.
     """
-    caps = [d - 1 for d in ci.degrees]
+    targets = [d - ci.index for d in ci.degrees]
+    heads = capped_sum_counts([d - 1 for d in ci.degrees], max(targets))
     total = 0
-    for j in range(1, ci.k + 1):
-        target = ci.degrees[j - 1] - ci.index
-        for _, s in capped_vectors(caps, target):
-            total += poly_space_dim(target - s, ci.dim + 1)
+    for target in targets:
+        for s in range(target + 1):
+            total += heads[s] * poly_space_dim(target - s, ci.dim + 1)
     return total
 
 
@@ -115,7 +116,7 @@ def dim_R_1(ci: CompleteIntersection) -> int:
 
 
 def alt_dim_formula(ci: CompleteIntersection) -> int:
-    """``dim_R_1`` evaluated through the nested binomial sum
+    """``dim_R_1`` through the nested binomial sum
 
         sum_j  sum over 0 <= i_t <= d_t - 1 of
             C(sum_t (d_t - i_t) + d_j - k - 1, dim),
@@ -125,20 +126,15 @@ def alt_dim_formula(ci: CompleteIntersection) -> int:
     k >= 2 the excluded slices contribute nonzero binomials whenever some
     d_j >= d_t + index, so extending the range would overcount.
 
-    With D = sum_t d_t, the binomial is C(D - |i| + d_j - k - 1, dim), which
-    vanishes once |i| > D + d_j - k - 1 - dim, so only vectors within that bound
-    are enumerated; on them the top is at least dim >= 2, so ``binomial`` never
-    sees a negative argument.
+    With D = sum_t d_t and index = dim + k + 1 - D, the binomial is
+    C(D - |i| + d_j - k - 1, dim) = poly_space_dim(d_j - index - |i|, dim + 1),
+    and it vanishes once |i| > d_j - index.  That is the summand of
+    ``count_monomials_oracle`` for a head of total |i|, with the same caps and
+    the same bound, so the sum is evaluated as the oracle minus the index-1
+    correction.  Comparing it with ``dim_R_1`` repeats the oracle's check; it
+    is not a separate route.
     """
-    k = ci.k
-    caps = [d - 1 for d in ci.degrees]
-    top_at_zero = sum(ci.degrees) - k - 1
-    total = 0
-    for dj in ci.degrees:
-        top = top_at_zero + dj
-        for _, s in capped_vectors(caps, top - ci.dim):
-            total += binomial(top - s, ci.dim)
-    return total - _index_one_correction(ci)
+    return count_monomials_oracle(ci) - _index_one_correction(ci)
 
 
 def hodge_h1(ci: CompleteIntersection) -> HodgeReport:

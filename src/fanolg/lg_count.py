@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Literal, NamedTuple
 
-from .exactmath import BudgetExceeded, binomial_row, capped_vectors, count_capped_vectors
-from .jacobian_ring import dim_R_1, hodge_h1
+from .exactmath import BudgetExceeded, binomial, binomial_row, capped_vectors, count_capped_vectors
+from .jacobian_ring import MAX_INCLUSION_EXCLUSION_SUMMANDS, hodge_h1
 from .resolution import g_closed
 from .varieties import CompleteIntersection
 
@@ -103,8 +103,9 @@ def enumerate_strata(ci: CompleteIntersection) -> list[StratumContribution]:
         )
     if cost > MAX_STRATA_COST:
         raise BudgetExceeded(
-            f"the strata of {ci} would cost more than {MAX_STRATA_COST:,}"
-            " (one per stratum plus the bits of the divisor counts)"
+            f"the strata of {ci.k} equation(s) with degrees of up to"
+            f" {max(ci.degrees).bit_length():,} bits would cost more than"
+            f" {MAX_STRATA_COST:,} (one per stratum plus the bits of the divisor counts)"
         )
     out: list[StratumContribution] = []
     rows = [binomial_row(d, d - 1) for d in ci.degrees]
@@ -144,20 +145,48 @@ def k_lg(ci: CompleteIntersection) -> KlgReport:
 
 
 def k_lg_closed(ci: CompleteIntersection) -> int:
-    """Closed form of ``k_lg``: the inclusion-exclusion double sum
+    """Closed form of ``k_lg``: the stratum sum, summed by Vandermonde.
 
-        sum_j sum over subsets I of {1..k} of
-            (-1)^(k - |I|) * C(sum_I d + d_j - 1, dim + k),
+    For each j, the strata add prod_t C(d_t, i_t) * C(d_j - 1, |i| + l) over
+    the box i_t <= d_t - 1 (t != j), i_j <= d_j - 2.  Over the full box
+    0 <= i_t <= d_t that sum is C(D + d_j - 1, D + l), with D = sum_t d_t.
+    Inclusion-exclusion takes off the caps: entry t != j is free or pinned at
+    d_t; entry j is free, pinned at d_j - 1 (weight d_j) or pinned at d_j.
+    With D_free the free degrees and P the pins, a term is
 
-    taken as is for index >= 2, and shifted by -(dim + 2k) + k - 1 at index 1
-    (removing the empty strata and adding the strict-transform components).
+        (-1)^(entries pinned) * prod C(d_t, pin) * C(D_free + d_j - 1, D_free + l + P),
 
-    The double sum is ``dim_R_prime_1`` (its inner sum is ``delta_j``) and the
-    shift is -(dim + k + 1), the index-1 correction, so this is the same count
-    as ``dim_R_1`` on every input and is evaluated by it.  Comparing it with
-    ``k_lg`` re-checks ``h_pr == k_lg``; it is not an independent route.
+    3 * 2^(k - 1) of them per j.  At index 1 the zero label (1 per j) goes and
+    the k - 1 strict-transform components come: a net -1.
+
+    It shares no code with ``delta_j``, whose binomials are
+    C(sum_I d + d_j - 1, dim + k), nor with the stratum listing, so
+    ``k_lg_closed == dim_R_1`` is the paper's identity, not a tautology.
+    Raises ``BudgetExceeded`` before any arithmetic when its k * 3 * 2^(k - 1)
+    binomials pass ``MAX_INCLUSION_EXCLUSION_SUMMANDS``: from k = 16 on, which
+    ``dim_R_1`` still answers.
     """
-    return dim_R_1(ci)
+    k, l = ci.k, ci.l
+    summands = 3 * k << (k - 1)
+    if summands > MAX_INCLUSION_EXCLUSION_SUMMANDS:
+        raise BudgetExceeded(
+            f"the closed form of k_LG for k = {k} would take {summands:,} binomials,"
+            f" more than {MAX_INCLUSION_EXCLUSION_SUMMANDS:,}"
+        )
+    total = 0
+    for j, dj in enumerate(ci.degrees, 1):
+        terms = [(1, 0, 0)]  # (signed weight, free degree total, pinned total)
+        for t, d in enumerate(ci.degrees, 1):
+            pins = ((d - 1, d), (d, 1)) if t == j else ((d, 1),)  # (pin, C(d, pin))
+            terms = [(c, free + d, pinned) for c, free, pinned in terms] + [
+                (-c * weight, free, pinned + pin)
+                for c, free, pinned in terms
+                for pin, weight in pins
+            ]
+        total += sum(
+            c * binomial(free + dj - 1, free + l + pinned) for c, free, pinned in terms
+        )
+    return total - 1 if l == 0 else total
 
 
 def verify_main_theorem(ci: CompleteIntersection) -> TheoremReport:

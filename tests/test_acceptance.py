@@ -103,9 +103,9 @@ def test_criterion_5_main_theorem_sweep():
         for ci in fano_sweep(8, 3, 6):
             count += 1
             assert hodge_h1(ci).h_pr == k_lg(ci).k_lg, ci
-            # k_lg_closed is the same count as dim_R_1 (= h_pr), so this line
-            # repeats the check above; the independent route is the stratum
-            # enumeration inside k_lg
+            # k_lg_closed sums the strata in closed form (Vandermonde and
+            # inclusion-exclusion on the box caps), sharing no code with the
+            # stratum listing inside k_lg nor with dim_R_1: a second check
             assert k_lg(ci).k_lg == k_lg_closed(ci), ci
         assert count > 100  # the sweep must actually cover the range
 

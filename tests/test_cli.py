@@ -145,6 +145,16 @@ class TestKlg:
         assert out == ""
         assert err.startswith("error: the strata of") and err.count("\n") == 1
 
+    def test_strata_refusal_of_a_huge_input_is_short(self, capsys):
+        # the message gives k and bit lengths, not the 4,300-digit numbers
+        nines = "9" * 4300
+        code, out, err = run(capsys, "klg", "--dim", nines, "--degrees", nines)
+        assert (code, out) == (3, "")
+        assert err.startswith(
+            "error: the strata of 1 equation(s) with degrees of up to 14,285 bits"
+        )
+        assert err.count("\n") == 1 and len(err) < 200
+
     def test_json_without_strata_flag_omits_breakdown(self, capsys):
         code, out, _ = run(capsys, "klg", "--dim", "2", "--degrees", "3", "--format", "json")
         assert code == 0
@@ -590,7 +600,8 @@ PINNED_OUTPUT = {
     "periods --dim 3 --degrees 3 --order -1": "b7b1d31a7fe495b5",
     "hodge --dim 3": "919c4c5ef7539749",
     "hodge --dim 30 --degrees 2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2": "b68f05c5ab3ced45",
-    "klg --dim 200000 --degrees 200001": "dfd6d2489b2cae00",
+    # the strata refusal names k and the degrees' bit lengths, not the variety
+    "klg --dim 200000 --degrees 200001": "53d67b9cc036fbb2",
     "periods --dim 6 --degrees 7 --order 7": "a151471eb87295a7",
     "fg --d 400 --s 400": "1ac52fc16ae40049",
     "resolve-trace --dbar 6,6 --s 4 --node-limit 10": "16ca3844ef8b20fa",

@@ -1,5 +1,6 @@
 """Tests for the exact combinatorial primitives."""
 
+from collections import Counter
 from itertools import permutations, product
 from math import comb, factorial
 
@@ -14,7 +15,7 @@ from fanolg import (
     convolution_identity_sides,
     multinomial,
 )
-from fanolg.exactmath import binomial_row, count_capped_vectors
+from fanolg.exactmath import binomial_row, capped_sum_counts, count_capped_vectors
 
 
 def naive_lhs(dbar, e, l):
@@ -61,6 +62,12 @@ class TestCappedVectors:
         expected = filtered_product(caps, bound)
         assert list(capped_vectors(caps, bound)) == expected
         assert count_capped_vectors(caps, bound) == len(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 6), max_size=5), st.integers(-3, 20))
+    def test_property_sum_counts_equal_counter_of_sums(self, caps, bound):
+        sums = Counter(s for _, s in capped_vectors(caps, bound))
+        assert capped_sum_counts(caps, bound) == [sums[s] for s in range(bound + 1)]
 
 
 class TestBinomial:

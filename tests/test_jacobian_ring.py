@@ -1,4 +1,6 @@
-"""Tests for the Hodge-number computation and its three agreeing routes."""
+"""Tests for the Hodge-number computation and its two agreeing routes: the
+inclusion-exclusion and the capped-head count, of which the nested binomial
+sum is the same sum."""
 
 import ast
 from itertools import product

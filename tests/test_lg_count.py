@@ -1,11 +1,14 @@
 """Tests for the stratum enumeration, k_LG, and the Hodge-number comparison."""
 
+import ast
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import fanolg
 from fanolg import (
     BudgetExceeded,
     CompleteIntersection,
@@ -155,7 +158,41 @@ class TestKlgClosed:
 
     def test_agrees_with_enumeration_small_sweep(self):
         for ci in fano_sweep(6, 3, 4):
-            assert k_lg_closed(ci) == k_lg(ci).k_lg, ci
+            assert k_lg_closed(ci) == k_lg(ci).k_lg == dim_R_1(ci), ci
+
+    @settings(max_examples=200, deadline=None)
+    @given(fano_complete_intersections())
+    def test_property_equals_stratum_sum(self, ci):
+        total = sum(c.multiplicity * c.divisors for c in enumerate_strata(ci))
+        assert k_lg_closed(ci) == total + (ci.k - 1 if ci.l == 0 else 0)
+
+    def test_budget_boundary_is_exact(self, monkeypatch):
+        # k = 3: 3 * 3 * 2^2 = 36 binomials
+        ci = CompleteIntersection(6, (2, 3, 3))
+        expected = k_lg(ci).k_lg
+        monkeypatch.setattr(lg_count, "MAX_INCLUSION_EXCLUSION_SUMMANDS", 36)
+        assert k_lg_closed(ci) == expected
+        monkeypatch.setattr(lg_count, "MAX_INCLUSION_EXCLUSION_SUMMANDS", 35)
+        with pytest.raises(BudgetExceeded, match="36 binomials, more than 35"):
+            k_lg_closed(ci)
+
+    def test_sixteen_equations_are_refused(self):
+        # 16 * 3 * 2^15 binomials, past the default of 2^20
+        with pytest.raises(BudgetExceeded, match="1,572,864 binomials"):
+            k_lg_closed(CompleteIntersection(30, (2,) * 16))
+
+    def test_shares_no_code_with_the_ring_dimension(self):
+        """The closed form imports nothing of the inclusion-exclusion that
+        ``dim_R_1`` sums, so its agreement with ``dim_R_1`` is a check."""
+        tree = ast.parse((Path(fanolg.__file__).parent / "lg_count.py").read_text())
+        names = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert "hodge_h1" in names
+        assert not names & {"dim_R_1", "dim_R_prime_1", "delta_j"}
 
 
 class TestMainTheorem:
