@@ -216,7 +216,8 @@ def _cmd_resolve_trace(args: argparse.Namespace) -> tuple[int, ResolutionTrace]:
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[int, list]:
     sweep = fano_sweep(args.max_dim, args.max_k, args.max_degree)
-    return 0, [(ci, verify_main_theorem(ci)) for ci in sweep]
+    rows = [(ci, verify_main_theorem(ci)) for ci in sweep]
+    return 0 if all(r.holds for _, r in rows) else 1, rows
 
 
 def _ci_text(payload: dict) -> str:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its output contracts."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -332,6 +333,21 @@ class TestSweep:
         assert code == 0
         rows = out.strip().splitlines()[1:]
         assert rows and all(row.endswith(",true") for row in rows)
+
+    def test_a_failing_row_exits_1_with_the_whole_csv(self, capsys, monkeypatch):
+        calls = []
+
+        def second_row_fails(ci):
+            calls.append(ci)
+            report = verify_main_theorem(ci)
+            return dataclasses.replace(report, holds=False) if len(calls) == 2 else report
+
+        monkeypatch.setattr(cli, "verify_main_theorem", second_row_fails)
+        code, out, err = run(capsys, "sweep", "--max-dim", "4", "--max-k", "2", "--max-degree", "3")
+        rows = out.strip().splitlines()[1:]
+        assert (code, err) == (1, "")
+        assert len(rows) == len(calls) > 2
+        assert [row.endswith(",false") for row in rows] == [i == 1 for i in range(len(rows))]
 
 
 def json_leaves(obj):

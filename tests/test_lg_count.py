@@ -1,7 +1,8 @@
 """Tests for the stratum enumeration, k_LG, and the Hodge-number comparison."""
 
 import ast
-from itertools import product
+import hashlib
+from itertools import combinations_with_replacement, product
 from math import comb
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from fanolg import (
     CompleteIntersection,
     StratumContribution,
     binomial,
+    count_monomials_oracle,
     dim_R_1,
     enumerate_strata,
     fano_sweep,
@@ -90,6 +92,13 @@ class TestEnumerateStrata:
         expected = [c for c in unpruned_strata(ci) if c.divisors != 0]
         assert enumerate_strata(ci) == expected
         assert all(c.divisors > 0 for c in expected)
+
+    def test_sweep_listing_is_pinned(self):
+        # every label, its order and its record values, byte for byte
+        listing = [enumerate_strata(ci) for ci in fano_sweep(16, 5, 10)]
+        assert hashlib.sha256(repr(listing).encode()).hexdigest() == (
+            "daa3dac6d538504647a65dfb82b5d5f7dc1fe4105c5f29bec986571de5b0c3a1"
+        )
 
 
 class TestStrataBudget:
@@ -222,3 +231,45 @@ class TestMainTheorem:
         for dim in range(2, 8):
             ci = CompleteIntersection(dim, (dim + 1,))
             assert k_lg(ci).k_lg == comb(2 * dim + 1, dim + 1) - dim - 2
+
+    def test_both_sides_vanish_one_past_the_band(self):
+        # With D = sum d and d_max = max d, at N = D + d_max - k the index is
+        # d_max + 1: every delta_j binomial and every strata bound is out of
+        # range.  One dimension lower the label j = argmax d, i = 0 still counts.
+        checked = 0
+        for k in range(1, 4):
+            for degrees in combinations_with_replacement(range(2, 7), k):
+                top = sum(degrees) + max(degrees) - k
+                past = CompleteIntersection(top, degrees)
+                assert hodge_h1(past).h_pr == k_lg(past).k_lg == 0, past
+                edge = CompleteIntersection(top - 1, degrees)
+                assert hodge_h1(edge).h_pr == k_lg(edge).k_lg > 0, edge
+                checked += 2
+        assert checked == 110
+
+
+# Hodge numbers of the Fano complete intersections of dimension 3 (h^{1,2}) and
+# of the del Pezzo surface of degree 4 (h^{1,1}), from the classification:
+# V. A. Iskovskikh and Yu. G. Prokhorov, Fano varieties, Encyclopaedia of
+# Mathematical Sciences 47, Springer, 1999.
+PUBLISHED_H = {
+    CompleteIntersection(3, (2,)): 0,
+    CompleteIntersection(3, (3,)): 5,
+    CompleteIntersection(3, (4,)): 30,
+    CompleteIntersection(3, (2, 2)): 2,
+    CompleteIntersection(3, (2, 3)): 20,
+    CompleteIntersection(3, (2, 2, 2)): 14,
+    CompleteIntersection(2, (2, 2)): 6,
+}
+
+
+@pytest.mark.parametrize("ci", PUBLISHED_H, ids=str)
+def test_published_hodge_numbers(ci):
+    """Every route gives the published h; at dim 2 the hyperplane class adds 1
+    to the primitive part that the k_LG side and the monomial count give."""
+    surface = 1 if ci.dim == 2 else 0
+    correction = ci.dim + ci.k + 1 if ci.index == 1 else 0
+    assert hodge_h1(ci).h == PUBLISHED_H[ci]
+    assert k_lg(ci).k_lg + surface == PUBLISHED_H[ci]
+    assert k_lg_closed(ci) + surface == PUBLISHED_H[ci]
+    assert count_monomials_oracle(ci) - correction + surface == PUBLISHED_H[ci]
