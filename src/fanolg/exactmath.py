@@ -54,12 +54,6 @@ def capped_sum_counts(caps: Sequence[int], bound: int) -> list[int]:
     return ways
 
 
-def count_capped_vectors(caps: Sequence[int], bound: int) -> int:
-    """How many vectors ``capped_vectors(caps, bound)`` yields, without listing
-    them."""
-    return sum(capped_sum_counts(caps, bound))
-
-
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k), defined as 0 whenever k < 0 or k > n.
 

@@ -119,7 +119,8 @@ def build_fx(ci: CompleteIntersection) -> LaurentPolynomial:
             factor = factor * (d + i) // i
             if terms_of_f * factor + ci.l > MAX_TERM_PRODUCTS:
                 raise BudgetExceeded(
-                    f"the mirror polynomial of {ci} would have more than"
+                    f"the mirror polynomial of {ci.k} equation(s) with degrees of up to"
+                    f" {max(ci.degrees).bit_length():,} bits would have more than"
                     f" {MAX_TERM_PRODUCTS:,} terms"
                 )
         terms_of_f *= factor

@@ -16,9 +16,9 @@ from .exactmath import BudgetExceeded, binomial, capped_sum_counts
 from .varieties import CompleteIntersection
 
 
-# Summands the inclusion-exclusion of ``dim_R_prime_1`` may add: k * 2^k for k
-# equations, so k <= 16 answers (k = 16 takes a few seconds) and k >= 17 is
-# refused before any arithmetic.
+# Summands the inclusion-exclusion of ``dim_R_prime_1``, the one path it bounds,
+# may add: k * 2^k for k equations, so k <= 16 answers (k = 16 takes a few
+# seconds) and k >= 17 is refused before any arithmetic.
 MAX_INCLUSION_EXCLUSION_SUMMANDS = 1 << 20
 
 
@@ -78,7 +78,7 @@ def dim_R_prime_1(ci: CompleteIntersection) -> int:
     summands = ci.k << ci.k
     if summands > MAX_INCLUSION_EXCLUSION_SUMMANDS:
         raise BudgetExceeded(
-            f"the inclusion-exclusion for {ci} would add {summands:,} summands,"
+            f"the inclusion-exclusion for {ci.k} equations would add {summands:,} summands,"
             f" more than {MAX_INCLUSION_EXCLUSION_SUMMANDS:,}"
         )
     return sum(delta_j(ci, j) for j in range(1, ci.k + 1))

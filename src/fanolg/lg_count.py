@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from math import comb
 from typing import Literal, NamedTuple
 
-from .exactmath import BudgetExceeded, binomial, binomial_row, count_capped_vectors
-from .jacobian_ring import MAX_INCLUSION_EXCLUSION_SUMMANDS, hodge_h1
+from .exactmath import BudgetExceeded, binomial, binomial_row, capped_sum_counts
+from .jacobian_ring import hodge_h1
 from .resolution import g_closed
 from .varieties import CompleteIntersection
 
@@ -94,9 +93,8 @@ def enumerate_strata(ci: CompleteIntersection) -> list[StratumContribution]:
 
     Raises ``BudgetExceeded`` before listing anything when the strata
     plus the bits of the divisor rows would cost more than
-    ``MAX_STRATA_COST``.  The strata of each j are charged C(bound + k, k),
-    their count with the caps ignored, and counted exactly only when those
-    bounds do not fit.
+    ``MAX_STRATA_COST``.  The strata are counted by their sums
+    (``capped_sum_counts``) without listing them, and only once the bits fit.
     """
     l = ci.l
     plans = []
@@ -105,11 +103,10 @@ def enumerate_strata(ci: CompleteIntersection) -> list[StratumContribution]:
         if bound >= 0:
             caps = [d - 2 if t == j else d - 1 for t, d in enumerate(ci.degrees, 1)]
             plans.append((j, dj, caps, bound))
-    bits = sum((bound + 1) * dj for _, dj, _, bound in plans)
-    cost = bits + sum(comb(bound + ci.k, ci.k) for *_, bound in plans)
-    if cost > MAX_STRATA_COST and bits <= MAX_STRATA_COST:
-        cost = bits + sum(
-            count_capped_vectors(caps, bound) - (l == 0) for *_, caps, bound in plans
+    cost = sum((bound + 1) * dj for _, dj, _, bound in plans)
+    if cost <= MAX_STRATA_COST:
+        cost += sum(
+            sum(capped_sum_counts(caps, bound)) - (l == 0) for *_, caps, bound in plans
         )
     if cost > MAX_STRATA_COST:
         raise BudgetExceeded(
@@ -168,36 +165,33 @@ def k_lg_closed(ci: CompleteIntersection) -> int:
 
         (-1)^(entries pinned) * prod C(d_t, pin) * C(D_free + d_j - 1, D_free + l + P),
 
-    3 * 2^(k - 1) of them per j.  At index 1 the zero label (1 per j) goes and
-    the k - 1 strict-transform components come: a net -1.
+    so it depends only on the totals D_free and P.  The terms are merged by
+    those totals as each entry is added, keyed by D_free * (D + 1) + P, which
+    leaves at most (D + 1)^2 of them per j rather than 3 * 2^(k - 1).  At
+    index 1 the zero label (1 per j) goes and the k - 1 strict-transform
+    components come: a net -1.
 
     It shares no code with ``delta_j``, whose binomials are
     C(sum_I d + d_j - 1, dim + k), nor with the stratum listing, so
     ``k_lg_closed == dim_R_1`` is the paper's identity, not a tautology.
-    Raises ``BudgetExceeded`` before any arithmetic when its k * 3 * 2^(k - 1)
-    binomials pass ``MAX_INCLUSION_EXCLUSION_SUMMANDS``: from k = 16 on, which
-    ``dim_R_1`` still answers.
     """
-    k, l = ci.k, ci.l
-    summands = 3 * k << (k - 1)
-    if summands > MAX_INCLUSION_EXCLUSION_SUMMANDS:
-        raise BudgetExceeded(
-            f"the closed form of k_LG for k = {k} would take {summands:,} binomials,"
-            f" more than {MAX_INCLUSION_EXCLUSION_SUMMANDS:,}"
-        )
+    l = ci.l
+    base = sum(ci.degrees) + 1  # D + 1: every pinned total is at most D
     total = 0
     for j, dj in enumerate(ci.degrees, 1):
-        terms = [(1, 0, 0)]  # (signed weight, free degree total, pinned total)
+        terms = {0: 1}  # D_free * base + P -> signed weight
         for t, d in enumerate(ci.degrees, 1):
-            pins = ((d - 1, d), (d, 1)) if t == j else ((d, 1),)  # (pin, C(d, pin))
-            terms = [(c, free + d, pinned) for c, free, pinned in terms] + [
-                (-c * weight, free, pinned + pin)
-                for c, free, pinned in terms
-                for pin, weight in pins
-            ]
-        total += sum(
-            c * binomial(free + dj - 1, free + l + pinned) for c, free, pinned in terms
-        )
+            pins = ((d - 1, -d), (d, -1)) if t == j else ((d, -1),)  # (pin, -C(d, pin))
+            merged: dict[int, int] = {}
+            for key, c in terms.items():
+                free = key + d * base
+                merged[free] = merged.get(free, 0) + c
+                for pin, weight in pins:
+                    merged[key + pin] = merged.get(key + pin, 0) + c * weight
+            terms = merged
+        for key, c in terms.items():
+            free, pinned = divmod(key, base)
+            total += c * binomial(free + dj - 1, free + l + pinned)
     return total - 1 if l == 0 else total
 
 

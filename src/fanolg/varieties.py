@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Iterator
 
 
@@ -64,10 +63,20 @@ def fano_sweep(max_dim: int, max_k: int, max_degree: int) -> Iterator[CompleteIn
     max_k hypersurfaces and degrees in [2, max_degree].
 
     One representative per unordered degree multiset (nondecreasing tuples), in
-    deterministic (dim, k, degrees) order.
+    deterministic (dim, k, degrees) order.  Tuples grow one degree at a time,
+    and a prefix of sum s takes a next degree d only while s + d * (degrees
+    left, d included) <= dim + k, so no tuple is built only to be filtered out.
     """
     for dim in range(2, max_dim + 1):
         for k in range(1, max_k + 1):
-            for degrees in combinations_with_replacement(range(2, max_degree + 1), k):
-                if sum(degrees) <= dim + k:
-                    yield CompleteIntersection(dim, degrees)
+            level: list[tuple[tuple[int, ...], int]] = [((), 0)]  # (prefix, its sum)
+            for left in range(k, 0, -1):
+                level = [
+                    (degrees + (d,), s + d)
+                    for degrees, s in level
+                    for d in range(
+                        (degrees or (2,))[-1], min(max_degree, (dim + k - s) // left) + 1
+                    )
+                ]
+            for degrees, _ in level:
+                yield CompleteIntersection(dim, degrees)

@@ -615,8 +615,8 @@ PINNED_OUTPUT = {
     "fg --d 0 --s 2": "dc594818786a7a06",
     "periods --dim 3 --degrees 3 --order -1": "b7b1d31a7fe495b5",
     "hodge --dim 3": "919c4c5ef7539749",
-    "hodge --dim 30 --degrees 2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2": "b68f05c5ab3ced45",
-    # the strata refusal names k and the degrees' bit lengths, not the variety
+    # the refusals name k (and the degrees' bit lengths), not the variety
+    "hodge --dim 30 --degrees 2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2": "e4db2fa050bf5588",
     "klg --dim 200000 --degrees 200001": "53d67b9cc036fbb2",
     "periods --dim 6 --degrees 7 --order 7": "a151471eb87295a7",
     "fg --d 400 --s 400": "1ac52fc16ae40049",
@@ -702,6 +702,15 @@ class TestEntryPoint:
         report = hodge_h1(CompleteIntersection(20000, (20001,)))
         assert values == [report.dim_R_prime, report.dim_R, report.h_pr, report.h]
 
+    def test_sweep_lists_only_fano_tuples(self):
+        # 9 rows, out of about 4.8 * 10^12 nondecreasing tuples of up to 14
+        # degrees in [2, 40]: the listing must not walk them
+        done = self.fanolg("sweep", "--max-dim", "3", "--max-k", "14", "--max-degree", "40")
+        lines = done.stdout.splitlines()
+        assert (done.returncode, done.stderr) == (0, "")
+        assert lines[0] == "N,degrees,index,h_pr,h,k_lg,theorem_holds"
+        assert len(lines) == 10 and all(row.endswith(",true") for row in lines[1:])
+
     def test_periods_counts_the_terms_of_f_first(self):
         # f would have C(41, 20) = 269,128,937,220 terms; the address-space cap
         # stops the interpreter early should the count ever come after the terms
@@ -723,8 +732,8 @@ class TestEntryPoint:
         code, seconds, peak = done.stdout.split()
         assert code == "3" and float(seconds) < 1 and int(peak) < 2**20
         assert done.stderr == (
-            "error: the mirror polynomial of dim 20, degrees (21) would have more than"
-            " 20,000,000 terms\n"
+            "error: the mirror polynomial of 1 equation(s) with degrees of up to 5 bits"
+            " would have more than 20,000,000 terms\n"
         )
 
     def test_closed_stdout_exits_4(self):

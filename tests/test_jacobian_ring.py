@@ -3,12 +3,13 @@ inclusion-exclusion and the capped-head count, of which the nested binomial
 sum is the same sum."""
 
 import ast
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanolg import (
     BudgetExceeded,
@@ -112,6 +113,19 @@ class TestCompleteIntersection:
         keys = [(ci.dim, ci.k, ci.degrees) for ci in sweep]
         assert keys == sorted(keys)
         assert CompleteIntersection(3, (2, 3)) in sweep
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 12), st.integers(0, 5), st.integers(0, 10))
+    def test_property_fano_sweep_equals_the_filtered_tuples(self, max_dim, max_k, max_degree):
+        # every nondecreasing tuple, filtered by the Fano condition afterwards
+        expected = [
+            CompleteIntersection(dim, degrees)
+            for dim in range(2, max_dim + 1)
+            for k in range(1, max_k + 1)
+            for degrees in combinations_with_replacement(range(2, max_degree + 1), k)
+            if sum(degrees) <= dim + k
+        ]
+        assert list(fano_sweep(max_dim, max_k, max_degree)) == expected
 
 
 class TestPolySpaceDim:

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import time
 from itertools import combinations_with_replacement, product
 from math import comb
 from pathlib import Path
@@ -51,6 +52,25 @@ def unpruned_strata(ci):
             divisors = g_rec(ci.degrees[j - 1], sum(ivec) + ci.l)
             out.append(StratumContribution(j, ivec, multiplicity, divisors))
     return out
+
+
+def unmerged_k_lg_closed(ci):
+    """``k_lg_closed`` with every signed inclusion-exclusion term kept apart:
+    3 * 2^(k - 1) terms per j, each (signed weight, free degrees, pins)."""
+    total = 0
+    for j, dj in enumerate(ci.degrees, 1):
+        terms = [(1, 0, 0)]
+        for t, d in enumerate(ci.degrees, 1):
+            pins = ((d - 1, d), (d, 1)) if t == j else ((d, 1),)  # (pin, C(d, pin))
+            terms = [(c, free + d, pinned) for c, free, pinned in terms] + [
+                (-c * weight, free, pinned + pin)
+                for c, free, pinned in terms
+                for pin, weight in pins
+            ]
+        total += sum(
+            c * binomial(free + dj - 1, free + ci.l + pinned) for c, free, pinned in terms
+        )
+    return total - 1 if ci.l == 0 else total
 
 
 class TestEnumerateStrata:
@@ -104,7 +124,7 @@ class TestEnumerateStrata:
 class TestStrataBudget:
     def test_exact_boundary(self, monkeypatch):
         # index 1 (the zero label is dropped) and caps that bind (i_1 <= 1 for
-        # j = 2, 3): C(bound + k, k) over-counts, so the exact count decides
+        # j = 2, 3): the charge is the exact count, not C(bound + k, k)
         ci = CompleteIntersection(7, (3, 3, 4))
         strata = enumerate_strata(ci)
         bounds = [d - 1 - ci.l for d in ci.degrees]
@@ -123,8 +143,9 @@ class TestStrataBudget:
             enumerate_strata(CompleteIntersection(999, (1000,)))
 
     def test_sweep_is_inside_the_budget(self):
+        # the bench's sweep: every listing answers, and both closed forms agree
         for ci in fano_sweep(16, 5, 10):
-            assert k_lg(ci).k_lg == dim_R_1(ci), ci
+            assert k_lg(ci).k_lg == dim_R_1(ci) == k_lg_closed(ci), ci
 
 
 class TestKlg:
@@ -175,20 +196,19 @@ class TestKlgClosed:
         total = sum(c.multiplicity * c.divisors for c in enumerate_strata(ci))
         assert k_lg_closed(ci) == total + (ci.k - 1 if ci.l == 0 else 0)
 
-    def test_budget_boundary_is_exact(self, monkeypatch):
-        # k = 3: 3 * 3 * 2^2 = 36 binomials
-        ci = CompleteIntersection(6, (2, 3, 3))
-        expected = k_lg(ci).k_lg
-        monkeypatch.setattr(lg_count, "MAX_INCLUSION_EXCLUSION_SUMMANDS", 36)
-        assert k_lg_closed(ci) == expected
-        monkeypatch.setattr(lg_count, "MAX_INCLUSION_EXCLUSION_SUMMANDS", 35)
-        with pytest.raises(BudgetExceeded, match="36 binomials, more than 35"):
-            k_lg_closed(ci)
+    @settings(max_examples=200, deadline=None)
+    @given(fano_complete_intersections())
+    def test_property_equals_the_unmerged_terms(self, ci):
+        assert k_lg_closed(ci) == unmerged_k_lg_closed(ci)
 
-    def test_sixteen_equations_are_refused(self):
-        # 16 * 3 * 2^15 binomials, past the default of 2^20
-        with pytest.raises(BudgetExceeded, match="1,572,864 binomials"):
-            k_lg_closed(CompleteIntersection(30, (2,) * 16))
+    @pytest.mark.parametrize("k", [16, 17, 20, 40])
+    def test_many_quadrics_answer(self, k):
+        # 3 * 2^(k - 1) unmerged terms per j, but at most (2k + 1)^2 merged
+        ci = CompleteIntersection(k, (2,) * k)
+        start = time.perf_counter()
+        value = k_lg_closed(ci)
+        assert time.perf_counter() - start < 1
+        assert value == k_lg(ci).k_lg
 
     def test_shares_no_code_with_the_ring_dimension(self):
         """The closed form imports nothing of the inclusion-exclusion that

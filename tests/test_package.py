@@ -1,8 +1,15 @@
-"""The package's public API, as ``fanolg.__init__`` states it."""
+"""The package's public API, as ``fanolg.__init__`` states it, and its budget
+constants, as the README states them."""
 
+import ast
+import re
+from pathlib import Path
 from types import ModuleType
 
 import fanolg
+
+PACKAGE = Path(fanolg.__file__).resolve().parent
+README = PACKAGE.parent.parent / "README.md"
 
 
 def test_all_names_every_public_import():
@@ -15,3 +22,20 @@ def test_all_names_every_public_import():
     }
     assert set(fanolg.__all__) == public | {"__version__"}
     assert len(fanolg.__all__) == len(set(fanolg.__all__))
+
+
+def test_readme_names_every_budget_constant_with_its_module():
+    # each module-level MAX_* assignment, as (name, module)
+    defined = {
+        (target.id, path.stem)
+        for path in PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+    }
+    text = README.read_text()
+    named = set(re.findall(r"`(MAX_\w+)`\s+in\s+`(\w+)`", text))
+    assert defined and named == defined
+    # a MAX_* name the README gives only without its module is caught too
+    assert set(re.findall(r"\bMAX_\w+", text)) == {name for name, _ in named}
