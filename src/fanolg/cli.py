@@ -215,6 +215,13 @@ def _cmd_resolve_trace(args: argparse.Namespace) -> tuple[int, ResolutionTrace]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[int, list]:
+    for flag, bound, least, rule in (
+        ("--max-dim", args.max_dim, 2, "dim >= 2"),
+        ("--max-k", args.max_k, 1, "k >= 1"),
+        ("--max-degree", args.max_degree, 2, "every degree >= 2"),
+    ):
+        if bound < least:
+            raise ValueError(f"{flag} {bound} admits no variety ({rule})")
     sweep = fano_sweep(args.max_dim, args.max_k, args.max_degree)
     rows = [(ci, verify_main_theorem(ci)) for ci in sweep]
     return 0 if all(r.holds for _, r in rows) else 1, rows

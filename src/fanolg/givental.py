@@ -240,6 +240,10 @@ def _constant_terms(f: LaurentPolynomial, order: int) -> list[int]:
     two vectors that close share a key only when equal, since the last
     variable where they differ outweighs all those before it.
 
+    A pruned power that comes out empty ends the expansion: every later power
+    is formed from it and is empty too, so every later constant term is 0.
+    For f = x + x^2 that happens at P[1], whatever the order.
+
     Budget: before each multiplication len(P[m-1]) * len(f.terms) term
     products, before each dot product the length of the smaller of its two
     powers, and before the odd last step len(P[h-1]) times the number of orbits
@@ -306,6 +310,8 @@ def _constant_terms(f: LaurentPolynomial, order: int) -> list[int]:
         cur = {k: nxt[k] for k in keys}
         out.append(dot(cur, prev, 2 * m - 1))
         out.append(dot(cur, cur, 2 * m))
+        if not cur:  # so is every later power, and every later constant term is 0
+            return out + [0] * (order + 1 - len(out))
         prev = cur
     if order % 2:
         orbits = _term_orbits(f)

@@ -93,8 +93,11 @@ def enumerate_strata(ci: CompleteIntersection) -> list[StratumContribution]:
 
     Raises ``BudgetExceeded`` before listing anything when the strata
     plus the bits of the divisor rows would cost more than
-    ``MAX_STRATA_COST``.  The strata are counted by their sums
-    (``capped_sum_counts``) without listing them, and only once the bits fit.
+    ``MAX_STRATA_COST``.  Once the bits fit, the strata are bounded by the
+    uncapped count sum_j C(bound + k, k) of the labels with |i| <= bound, which
+    is never below the capped one.  Only when that bound could pass the budget
+    are the strata counted exactly, by their sums (``capped_sum_counts``)
+    without listing them.
     """
     l = ci.l
     plans = []
@@ -104,7 +107,9 @@ def enumerate_strata(ci: CompleteIntersection) -> list[StratumContribution]:
             caps = [d - 2 if t == j else d - 1 for t, d in enumerate(ci.degrees, 1)]
             plans.append((j, dj, caps, bound))
     cost = sum((bound + 1) * dj for _, dj, _, bound in plans)
-    if cost <= MAX_STRATA_COST:
+    if cost <= MAX_STRATA_COST and cost + sum(
+        binomial(bound + ci.k, ci.k) for *_, bound in plans
+    ) > MAX_STRATA_COST:
         cost += sum(
             sum(capped_sum_counts(caps, bound)) - (l == 0) for *_, caps, bound in plans
         )
@@ -167,7 +172,10 @@ def k_lg_closed(ci: CompleteIntersection) -> int:
 
     so it depends only on the totals D_free and P.  The terms are merged by
     those totals as each entry is added, keyed by D_free * (D + 1) + P, which
-    leaves at most (D + 1)^2 of them per j rather than 3 * 2^(k - 1).  At
+    leaves at most (D + 1)^2 of them per j rather than 3 * 2^(k - 1).  A pin
+    that takes P past d_j - 1 - l is dropped at once: its binomial has
+    l + P > d_j - 1, and P only grows as entries are added, so the term and
+    every term it spawns vanish.  A j with d_j - 1 - l < 0 adds nothing.  At
     index 1 the zero label (1 per j) goes and the k - 1 strict-transform
     components come: a net -1.
 
@@ -179,6 +187,9 @@ def k_lg_closed(ci: CompleteIntersection) -> int:
     base = sum(ci.degrees) + 1  # D + 1: every pinned total is at most D
     total = 0
     for j, dj in enumerate(ci.degrees, 1):
+        bound = dj - 1 - l  # the largest pinned total whose binomial can be nonzero
+        if bound < 0:
+            continue
         terms = {0: 1}  # D_free * base + P -> signed weight
         for t, d in enumerate(ci.degrees, 1):
             pins = ((d - 1, -d), (d, -1)) if t == j else ((d, -1),)  # (pin, -C(d, pin))
@@ -187,6 +198,8 @@ def k_lg_closed(ci: CompleteIntersection) -> int:
                 free = key + d * base
                 merged[free] = merged.get(free, 0) + c
                 for pin, weight in pins:
+                    if key % base + pin > bound:
+                        break  # the pins ascend
                     merged[key + pin] = merged.get(key + pin, 0) + c * weight
             terms = merged
         for key, c in terms.items():

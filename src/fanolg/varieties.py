@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 
@@ -16,10 +16,22 @@ class CompleteIntersection:
     ``sum(degrees) <= dim + k`` is enforced, as is ``degree >= 2`` for every
     hypersurface (a linear equation merely lowers the ambient dimension) and
     ``k >= 1`` (projective space itself is not accepted as a degenerate case).
+
+    Three derived numbers are stored once, when the variety is built, and take
+    no part in comparison, hashing or ``repr``:
+
+    - ``k``: the number of defining hypersurfaces;
+    - ``index``: the Fano index dim + k + 1 - sum(degrees), at least 1 by
+      construction;
+    - ``l``: index - 1, the number of free torus variables in the mirror
+      polynomial.
     """
 
     dim: int
     degrees: tuple[int, ...]
+    k: int = field(init=False, repr=False, compare=False)
+    index: int = field(init=False, repr=False, compare=False)
+    l: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         degrees = tuple(self.degrees)
@@ -34,25 +46,15 @@ class CompleteIntersection:
                     f"every degree must be an integer >= 2, got {d!r}"
                     " (a degree-1 equation reduces to a smaller ambient space)"
                 )
-        if self.index < 1:
+        k = len(degrees)
+        index = self.dim + k + 1 - sum(degrees)
+        if index < 1:
             raise ValueError(
-                f"not Fano: total degree {sum(degrees)} exceeds dim + k = {self.dim + self.k}"
+                f"not Fano: total degree {sum(degrees)} exceeds dim + k = {self.dim + k}"
             )
-
-    @property
-    def k(self) -> int:
-        """Number of defining hypersurfaces."""
-        return len(self.degrees)
-
-    @property
-    def index(self) -> int:
-        """Fano index: dim + k + 1 - sum(degrees), at least 1 by construction."""
-        return self.dim + self.k + 1 - sum(self.degrees)
-
-    @property
-    def l(self) -> int:
-        """index - 1; the number of free torus variables in the mirror polynomial."""
-        return self.index - 1
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "l", index - 1)
 
     def __str__(self) -> str:
         return f"dim {self.dim}, degrees ({', '.join(map(str, self.degrees))})"

@@ -334,6 +334,16 @@ class TestSweep:
         rows = out.strip().splitlines()[1:]
         assert rows and all(row.endswith(",true") for row in rows)
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-dim", "1"), ("--max-k", "0"), ("--max-degree", "1")]
+    )
+    def test_a_bound_that_admits_no_variety_is_invalid(self, capsys, flag, value):
+        # dim >= 2, k >= 1 and degree >= 2: else the CSV would be a bare header
+        code, out, err = run(capsys, "sweep", flag, value)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} {value} admits no variety")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_a_failing_row_exits_1_with_the_whole_csv(self, capsys, monkeypatch):
         calls = []
 

@@ -1,6 +1,7 @@
 """Tests for the mirror polynomial, the expansion engine, and the period check."""
 
 import random
+import time
 from itertools import permutations, product
 from math import comb, factorial, prod
 
@@ -228,6 +229,15 @@ class TestConstantTerm:
         f = LaurentPolynomial(1, {(1,): 1, (2,): 1})
         assert constant_term(f, 0) == 1
         assert constant_term(f, 3) == 0
+
+    def test_an_empty_power_ends_the_expansion(self):
+        # the first pruned power of x + x^2 is empty, so no later order takes
+        # a multiplication or a dot product
+        f = LaurentPolynomial(1, {(1,): 1, (2,): 1})
+        assert phi_series(f, 9).coefficients == (1,) + (0,) * 9
+        start = time.perf_counter()
+        assert constant_term(f, 10**6) == 0
+        assert time.perf_counter() - start < 1
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):

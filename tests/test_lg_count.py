@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fanolg
 from fanolg import (
@@ -135,6 +136,27 @@ class TestStrataBudget:
         monkeypatch.setattr(lg_count, "MAX_STRATA_COST", cost - 1)
         with pytest.raises(BudgetExceeded, match=f"more than {cost - 1}"):
             enumerate_strata(ci)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fano_complete_intersections(), st.data())
+    def test_property_refuses_exactly_past_the_budget(self, ci, data):
+        # the exact strata count decides, whether or not the uncapped bound
+        # C(bound + k, k) lets it be skipped
+        strata = enumerate_strata(ci)
+        rows = [(d, d - 1 - ci.l) for d in ci.degrees if d - 1 - ci.l >= 0]  # (d_j, bound)
+        bits = sum((bound + 1) * d for d, bound in rows)
+        cost = bits + len(strata)
+        uncapped = bits + sum(comb(bound + ci.k, ci.k) for _, bound in rows)
+        budget = data.draw(
+            st.integers(cost - 2, cost + 2) | st.integers(0, uncapped + 2), label="budget"
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lg_count, "MAX_STRATA_COST", budget)
+            if cost > budget:
+                with pytest.raises(BudgetExceeded):
+                    enumerate_strata(ci)
+            else:
+                assert enumerate_strata(ci) == strata
 
     def test_divisor_bits_are_charged(self):
         # 999 * 999 bits and 997 strata fit; one degree more passes 1,000,000
