@@ -6,8 +6,10 @@ for invalid input, 3 for an exceeded work budget (``BudgetExceeded``: trace
 tree nodes or cells, period term products, recursion or inclusion-exclusion
 summands, strata, terms of the mirror polynomial, binomials too large to
 form) and 4 for any other error, a closed stdout included; codes 2 to 4 come
-with a one-line ``error:`` on stderr and, but for a closed stdout, nothing on
-stdout.
+with an ``error:`` line on stderr and, but for a closed stdout, nothing on
+stdout.  That line stands alone, except for a flag the parser rejects: argparse
+prints the command's usage lines before its ``fanolg <command>: error:``
+line.
 
 Each subcommand returns its exit code and one payload, and ``main`` renders
 the payload whole through one of the command's views (text, JSON, DOT or CSV)

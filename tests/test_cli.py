@@ -677,14 +677,15 @@ class TestReadmeCommands:
 
 
 class TestEntryPoint:
-    """``python -m fanolg.cli`` in a fresh interpreter, reading ``sys.argv``."""
+    """``python -m fanolg.cli`` (or ``python -m fanolg``) in a fresh
+    interpreter, reading ``sys.argv``."""
 
-    def fanolg(self, *argv):
+    def fanolg(self, *argv, module="fanolg.cli"):
         src = str(Path(fanolg.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path, "COLUMNS": "80"}
         return subprocess.run(
-            [sys.executable, "-m", "fanolg.cli", *argv],
+            [sys.executable, "-m", module, *argv],
             capture_output=True, text=True, env=env, timeout=60,
         )
 
@@ -692,6 +693,13 @@ class TestEntryPoint:
         done = self.fanolg("fg", "--d", "3", "--s", "2")
         assert done.returncode == 0
         assert "F(3,2): recursion 6, closed form 6" in done.stdout
+
+    def test_package_runs_as_the_command(self):
+        argv = ("hodge", "--dim", "3", "--degrees", "3")
+        done = self.fanolg(*argv, module="fanolg")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == self.fanolg(*argv).stdout
+        assert "h_pr^(1,2)" in done.stdout
 
     def test_help_lists_every_command(self):
         done = self.fanolg("--help")

@@ -84,6 +84,20 @@ def unpruned_alt_dim_formula(ci):
     return total - (ci.dim + ci.k + 1 if ci.index == 1 else 0)
 
 
+def plain_delta_j(ci, j):
+    """``delta_j`` as the mask loop that forms every binomial, vanishing ones
+    included, each with the sign (-1) ** (k - |I|): the reference for its
+    skipped binomials and its parity sign."""
+    k = ci.k
+    dj = ci.degrees[j - 1]
+    total = 0
+    for mask in range(1 << k):
+        subset_sum = sum(d for t, d in enumerate(ci.degrees) if mask >> t & 1)
+        size = bin(mask).count("1")
+        total += (-1) ** (k - size) * binomial(subset_sum + dj - 1, ci.dim + k)
+    return total
+
+
 class TestCompleteIntersection:
     def test_derived_quantities(self):
         ci = CompleteIntersection(4, (2, 3))
@@ -155,6 +169,18 @@ class TestDeltaJ:
     def test_out_of_range_j(self):
         with pytest.raises(ValueError):
             delta_j(CUBIC_SURFACE, 2)
+
+    def test_degree_equal_to_the_index(self):
+        # (3,) in dimension 4 has index 3 = d_1: the full subset's binomial is
+        # C(dim + k, dim + k) = 1, at the edge of the skipped range.
+        ci = CompleteIntersection(4, (3,))
+        assert delta_j(ci, 1) == plain_delta_j(ci, 1) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(fano_complete_intersections(max_k=8))
+    def test_property_equals_the_plain_mask_loop(self, ci):
+        for j in range(1, ci.k + 1):
+            assert delta_j(ci, j) == plain_delta_j(ci, j)
 
 
 class TestRingDimensions:

@@ -279,15 +279,15 @@ class TestMainTheorem:
         # d_max + 1: every delta_j binomial and every strata bound is out of
         # range.  One dimension lower the label j = argmax d, i = 0 still counts.
         checked = 0
-        for k in range(1, 4):
-            for degrees in combinations_with_replacement(range(2, 7), k):
+        for k in range(1, 6):
+            for degrees in combinations_with_replacement(range(2, 11), k):
                 top = sum(degrees) + max(degrees) - k
                 past = CompleteIntersection(top, degrees)
                 assert hodge_h1(past).h_pr == k_lg(past).k_lg == 0, past
                 edge = CompleteIntersection(top - 1, degrees)
                 assert hodge_h1(edge).h_pr == k_lg(edge).k_lg > 0, edge
                 checked += 2
-        assert checked == 110
+        assert checked == 4002
 
 
 # Hodge numbers of the Fano complete intersections of dimension 3 (h^{1,2}) and
