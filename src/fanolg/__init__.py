@@ -8,19 +8,12 @@ checks the period condition of the mirror Laurent polynomial by exact series
 expansion.  All arithmetic is exact integer arithmetic.
 """
 
-from .exactmath import (
-    BudgetExceeded,
-    binomial,
-    capped_vectors,
-    convolution_identity_sides,
-    multinomial,
-)
+from .exactmath import BudgetExceeded, binomial, convolution_identity_sides
 from .givental import (
     LaurentPolynomial,
     PeriodReport,
     PowerSeries,
     build_fx,
-    constant_term,
     i_series,
     phi_series,
     verify_period,
@@ -68,8 +61,6 @@ __all__ = [
     "fano_sweep",
     "BudgetExceeded",
     "binomial",
-    "multinomial",
-    "capped_vectors",
     "convolution_identity_sides",
     "poly_space_dim",
     "delta_j",
@@ -84,7 +75,6 @@ __all__ = [
     "PowerSeries",
     "PeriodReport",
     "build_fx",
-    "constant_term",
     "phi_series",
     "i_series",
     "verify_period",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 class BudgetExceeded(RuntimeError):
@@ -18,33 +18,11 @@ class BudgetExceeded(RuntimeError):
     binomials too large to form.  The CLI exits 3 on it."""
 
 
-def capped_vectors(
-    caps: Sequence[int], bound: int
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every pair (ivec, sum(ivec)) with 0 <= ivec[t] <= caps[t] and
-    sum(ivec) <= bound, in the order of ``itertools.product``.
-
-    Vectors grow one entry at a time from their prefixes, and a prefix is
-    extended only by entries that keep its sum within the bound.  Every kept
-    prefix reaches at least one vector (pad it with zeros), so no vector is
-    built only to be filtered out.  A negative bound yields nothing; empty caps
-    yield the empty vector alone.
-    """
-    level: list[tuple[tuple[int, ...], int]] = [((), 0)] if bound >= 0 else []
-    for cap in caps:
-        level = [
-            (ivec + (i,), s + i)
-            for ivec, s in level
-            for i in range(min(cap, bound - s) + 1)
-        ]
-    yield from level
-
-
 def capped_sum_counts(caps: Sequence[int], bound: int) -> list[int]:
-    """ways[s] for s = 0..bound: how many vectors of ``capped_vectors(caps,
-    bound)`` have sum s, without listing them.  The prefixes are extended one
-    cap at a time by a sliding window over prefix sums, in O(len(caps) * bound)
-    additions.  A negative bound gives the empty list."""
+    """ways[s] for s = 0..bound: how many integer vectors v with
+    0 <= v[t] <= caps[t] have sum s, without listing them.  The prefixes are
+    extended one cap at a time by a sliding window over prefix sums, in
+    O(len(caps) * bound) additions.  A negative bound gives the empty list."""
     if bound < 0:
         return []
     ways = [1] + [0] * bound
@@ -85,29 +63,6 @@ def binomial_row(n: int, cap: int) -> list[int]:
         c = c * (n - k) // (k + 1)
         row[k + 1] = c
     return row
-
-
-def multinomial(n: int, parts: Sequence[int]) -> int:
-    """Multinomial coefficient n! / (parts[0]! * ... * parts[-1]! * (n - sum(parts))!).
-
-    The leftover n - sum(parts) acts as an implicit final part, so the parts may
-    sum to anything up to n.
-    """
-    if n < 0:
-        raise ValueError(f"multinomial requires n >= 0, got n={n}")
-    total = 0
-    for p in parts:
-        if p < 0:
-            raise ValueError(f"multinomial parts must be nonnegative, got {p}")
-        total += p
-    if total > n:
-        raise ValueError(f"multinomial parts sum to {total} > n = {n}")
-    result = 1
-    remaining = n
-    for p in parts:
-        result *= comb(remaining, p)
-        remaining -= p
-    return result
 
 
 def convolution_identity_sides(

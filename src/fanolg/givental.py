@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import factorial
+from math import factorial, prod
 from typing import Mapping
 
-from .exactmath import BudgetExceeded, capped_vectors, multinomial
+from .exactmath import BudgetExceeded, binomial_row
 from .varieties import CompleteIntersection
 
 
@@ -106,8 +106,12 @@ def build_fx(ci: CompleteIntersection) -> LaurentPolynomial:
     each contribute a single term, which cannot collide with the shifted block
     (their y-exponents are +1 against -1).
 
-    Block i lists the C(2 d_i - 1, d_i - 1) exponent vectors of d_i - 1 entries
-    with sum at most d_i, so f has prod_i C(2 d_i - 1, d_i - 1) + l terms.
+    Block i lists the C(2 d_i - 1, d_i - 1) exponent vectors e of d_i - 1
+    entries with sum at most d_i, so f has prod_i C(2 d_i - 1, d_i - 1) + l
+    terms.  The vectors grow one entry at a time from their prefixes, in
+    ``itertools.product`` order.  A prefix carries its sum s and its
+    multinomial c; the entry e_t = i takes it to s + i and c * C(d_i - s, i),
+    so a whole vector carries d_i! / (e_1! ... e_(d_i-1)! (d_i - sum e)!).
     ``BudgetExceeded`` is raised, before any term is listed, when that count
     passes ``MAX_TERM_PRODUCTS``; the count is formed one factor at a time and
     stops there, so a huge degree costs only a few steps.
@@ -132,24 +136,23 @@ def build_fx(ci: CompleteIntersection) -> LaurentPolynomial:
 
     blocks: list[list[tuple[tuple[int, ...], int]]] = []
     for d in ci.degrees:
-        block = [
-            (exponents, multinomial(d, exponents))
-            for exponents, _ in capped_vectors([d] * (d - 1), d)
-        ]
-        blocks.append(block)
+        rows = [binomial_row(n, n) for n in range(d + 1)]
+        level = [((), 0, 1)]  # (shifted exponent prefix, its sum, its multinomial)
+        for _ in range(d - 1):
+            level = [
+                (part + (i - 1,), s + i, c * rows[d - s][i])
+                for part, s, c in level
+                for i in range(d - s + 1)
+            ]
+        blocks.append([(part, c) for part, _, c in level])
 
-    terms: dict[tuple[int, ...], int] = {}
-    for combo in product(*blocks):
-        exponents = tuple(e for part, _ in combo for e in part) + (0,) * ci.l
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
-        shifted = tuple(e - 1 for e in exponents)
-        terms[shifted] = terms.get(shifted, 0) + coeff
-
+    y_shift = (-1,) * ci.l
+    terms = {
+        tuple(e for part, _ in combo for e in part) + y_shift: prod(c for _, c in combo)
+        for combo in product(*blocks)
+    }
     for j in range(ci.l):
-        unit = tuple(1 if t == x_slots + j else 0 for t in range(arity))
-        terms[unit] = terms.get(unit, 0) + 1
+        terms[tuple(1 if t == x_slots + j else 0 for t in range(arity))] = 1
 
     return LaurentPolynomial(arity, terms)
 
@@ -323,13 +326,6 @@ def _constant_terms(f: LaurentPolynomial, order: int) -> list[int]:
             total += weight * f.terms[e] * sum(c * get(base - k, 0) for k, c in prev.items())
         out.append(total)
     return out
-
-
-def constant_term(f: LaurentPolynomial, n: int) -> int:
-    """Coefficient of the zero exponent vector in f^n (f^0 = 1 by convention)."""
-    if n < 0:
-        raise ValueError(f"power must be nonnegative, got {n}")
-    return _constant_terms(f, n)[n]
 
 
 def phi_series(f: LaurentPolynomial, order: int) -> PowerSeries:

@@ -120,7 +120,10 @@ def enumerate_strata(ci: CompleteIntersection) -> list[StratumContribution]:
             f" {MAX_STRATA_COST:,} (one per stratum plus the bits of the divisor counts)"
         )
     out: list[StratumContribution] = []
-    rows = [binomial_row(d, d - 1) for d in ci.degrees]
+    if not plans:
+        return out
+    top = max(bound for *_, bound in plans)  # no entry of a listed label passes it
+    rows = [binomial_row(d, min(d - 1, top)) for d in ci.degrees]
     for j, dj, caps, bound in plans:
         g_row = [g_closed(dj, s + l) for s in range(bound + 1)]
         level = [((), 0, 1)]  # (ivec prefix, its sum, its multiplicity)

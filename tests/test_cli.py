@@ -754,6 +754,38 @@ class TestEntryPoint:
             " would have more than 20,000,000 terms\n"
         )
 
+    @pytest.mark.parametrize(
+        "dim, degrees, expected",
+        [
+            # index 200,002: no label lists, so no binomial row is built
+            ("400000", "200000", "h = 0, h_pr = 0, k_lg = 0 -> comparison holds"),
+            # one stratum, (899999, 900000 | j = 2, i = (0, 0)): rows read only C(d, 0)
+            ("2699996", "899999,900000", "h = 1, h_pr = 1, k_lg = 1 -> comparison holds"),
+        ],
+    )
+    def test_strata_build_only_the_binomial_rows_they_read(self, dim, degrees, expected):
+        # whole rows C(d, 0..d - 1) at these degrees took seconds and then
+        # passed the address-space cap
+        script = (
+            "import resource, sys, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from fanolg.cli import main\n"
+            "start = time.perf_counter()\n"
+            f"code = main(['verify', '--dim', '{dim}', '--degrees', '{degrees}'])\n"
+            "print(code, time.perf_counter() - start)\n"
+        )
+        src = str(Path(fanolg.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+        *answer, status = done.stdout.splitlines()
+        code, seconds = status.split()
+        assert (code, done.stderr) == ("0", "")
+        assert float(seconds) < 1
+        assert answer == [f"dim {dim}, degrees ({degrees.replace(',', ', ')}): {expected}"]
+
     def test_closed_stdout_exits_4(self):
         # the reader takes one line of the 229 KB trace and leaves, so the
         # rest cannot be written

@@ -14,7 +14,6 @@ from fanolg import (
     CompleteIntersection,
     LaurentPolynomial,
     build_fx,
-    constant_term,
     fano_sweep,
     i_series,
     phi_series,
@@ -103,16 +102,16 @@ class TestLaurentPolynomial:
         # (x - 1/x)^2 = x^2 - 2 + 1/x^2
         f = LaurentPolynomial(1, {(1,): 1, (-1,): -1})
         assert unpruned_powers(f, 2)[2] == {(2,): 1, (0,): -2, (-2,): 1}
-        assert constant_term(f, 2) == -2
+        assert phi_series(f, 2).coefficients[2] == -2
         # (x + y + 1/(x y))^3 has constant term 3!/(1! 1! 1!)
         g = LaurentPolynomial(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1})
-        assert constant_term(g, 3) == 6
+        assert phi_series(g, 3).coefficients[3] == 6
 
     def test_power(self):
         # (x + 1/x)^n has constant term C(n, n/2) for even n, 0 for odd n
         f = LaurentPolynomial(1, {(1,): 1, (-1,): 1})
         assert unpruned_powers(f, 2)[2] == {(2,): 1, (0,): 2, (-2,): 1}
-        assert [constant_term(f, n) for n in range(7)] == [1, 0, 2, 0, 6, 0, 20]
+        assert [phi_series(f, n).coefficients[n] for n in range(7)] == [1, 0, 2, 0, 6, 0, 20]
 
 
 class TestBuildFx:
@@ -139,6 +138,26 @@ class TestBuildFx:
         for ci in fano_sweep(6, 3, 4):
             assert build_fx(ci).arity == ci.dim
 
+    def test_terms_in_product_order_with_factorial_multinomials(self):
+        # block i: every vector e of d - 1 entries in 0..d with sum <= d, in
+        # itertools.product order, with coefficient d! / (prod e_t! (d - sum e)!);
+        # the blocks combine in product order too, and the y-terms come last
+        for ci in fano_sweep(6, 2, 7):
+            blocks = [
+                [e for e in product(range(d + 1), repeat=d - 1) if sum(e) <= d]
+                for d in ci.degrees
+            ]
+            expected = {}
+            for combo in product(*blocks):
+                coeff = 1
+                for d, e in zip(ci.degrees, combo):
+                    coeff *= factorial(d) // (prod(map(factorial, e)) * factorial(d - sum(e)))
+                shifted = tuple(x - 1 for e in combo for x in e) + (-1,) * ci.l
+                expected[shifted] = coeff
+            for j in range(ci.l):
+                expected[tuple(int(t == ci.dim - ci.l + j) for t in range(ci.dim))] = 1
+            assert list(build_fx(ci).terms.items()) == list(expected.items()), ci
+
     def test_term_count(self):
         for ci in fano_sweep(5, 2, 4):
             expected = 1
@@ -149,13 +168,13 @@ class TestBuildFx:
 
 class TestConstantTerm:
     def test_zeroth_power(self):
-        assert constant_term(build_fx(CUBIC_SURFACE), 0) == 1
+        assert phi_series(build_fx(CUBIC_SURFACE), 0).coefficients[0] == 1
 
     def test_first_power_cubic_surface(self):
-        assert constant_term(build_fx(CUBIC_SURFACE), 1) == 6
+        assert phi_series(build_fx(CUBIC_SURFACE), 1).coefficients[1] == 6
 
     def test_square_cubic_threefold(self):
-        assert constant_term(build_fx(CUBIC_THREEFOLD), 2) == 12
+        assert phi_series(build_fx(CUBIC_THREEFOLD), 2).coefficients[2] == 12
         assert factorial(2) * factorial(3) // factorial(1) ** 5 == 12
 
     def test_agrees_with_unpruned_power(self):
@@ -169,7 +188,7 @@ class TestConstantTerm:
             f = LaurentPolynomial(arity, terms)
             powers = unpruned_powers(f, 4)
             for n in range(5):
-                assert constant_term(f, n) == powers[n].get((0,) * arity, 0)
+                assert phi_series(f, n).coefficients[n] == powers[n].get((0,) * arity, 0)
 
     @settings(max_examples=150, deadline=None)
     @given(laurent_polynomials(), st.integers(0, 8))
@@ -227,8 +246,8 @@ class TestConstantTerm:
 
     def test_variable_that_cannot_cancel(self):
         f = LaurentPolynomial(1, {(1,): 1, (2,): 1})
-        assert constant_term(f, 0) == 1
-        assert constant_term(f, 3) == 0
+        assert phi_series(f, 0).coefficients[0] == 1
+        assert phi_series(f, 3).coefficients[3] == 0
 
     def test_an_empty_power_ends_the_expansion(self):
         # the first pruned power of x + x^2 is empty, so no later order takes
@@ -236,12 +255,12 @@ class TestConstantTerm:
         f = LaurentPolynomial(1, {(1,): 1, (2,): 1})
         assert phi_series(f, 9).coefficients == (1,) + (0,) * 9
         start = time.perf_counter()
-        assert constant_term(f, 10**6) == 0
+        assert phi_series(f, 10**6).coefficients[10**6] == 0
         assert time.perf_counter() - start < 1
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
-            constant_term(build_fx(CUBIC_SURFACE), -1)
+            phi_series(build_fx(CUBIC_SURFACE), -1)
 
 
 def phi_within(monkeypatch, f, order, budget):
