@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanolg import BudgetExceeded, binomial, convolution_identity_sides
+from fanolg import (
+    BudgetExceeded,
+    CompleteIntersection,
+    binomial,
+    build_fx,
+    convolution_identity_sides,
+)
 from fanolg.exactmath import binomial_row, capped_sum_counts
 
 
@@ -34,6 +40,22 @@ def filtered_product(caps, bound):
 class TestCappedVectors:
     """The vectors with 0 <= ivec[t] <= caps[t] and sum at most a bound, as
     ``capped_sum_counts`` counts them by their sums."""
+
+    def test_small_example_in_product_order(self):
+        assert filtered_product([2, 1], 2) == [
+            ((0, 0), 0),
+            ((0, 1), 1),
+            ((1, 0), 1),
+            ((1, 1), 2),
+            ((2, 0), 2),
+        ]
+        assert capped_sum_counts([2, 1], 2) == [1, 2, 2]
+        # the cubic surface's mirror is one block: the vectors of two entries
+        # in 0..3 with sum at most 3, in product order, each shifted by -1
+        cubic = build_fx(CompleteIntersection(2, (3,)))
+        block = filtered_product([3, 3], 3)
+        assert list(cubic.terms) == [tuple(i - 1 for i in ivec) for ivec, _ in block]
+        assert capped_sum_counts([3, 3], 3) == [1, 2, 3, 4]
 
     def test_empty_caps(self):
         assert capped_sum_counts([], 0) == [1]
@@ -92,6 +114,28 @@ class TestBinomial:
     def test_property_row_equals_comb(self, a, b):
         n, cap = max(a, b), min(a, b)
         assert binomial_row(n, cap) == [comb(n, k) for k in range(cap + 1)]
+
+
+def block_coefficient(d, e):
+    """The coefficient build_fx gives the vector e (d - 1 entries, sum at most
+    d) in the block of degree d, read off a hypersurface of index 1, whose
+    mirror is that block alone."""
+    f = build_fx(CompleteIntersection(d - 1, (d,)))
+    return f.terms[tuple(i - 1 for i in e)]
+
+
+class TestMultinomial:
+    """The multinomials d! / (e_1! ... e_(d-1)! (d - sum e)!) that build_fx
+    carries as the coefficients of each block."""
+
+    def test_basic_values(self):
+        assert block_coefficient(3, (1, 1)) == 6
+        assert block_coefficient(4, (4, 0, 0)) == 1
+        assert block_coefficient(6, (2, 2, 2, 0, 0)) == factorial(6) // factorial(2) ** 3 == 90
+
+    def test_implicit_final_part(self):
+        # 5! / (2! * 1! * 2!) with the leftover 2 implicit
+        assert block_coefficient(5, (2, 1, 0, 0)) == factorial(5) // (2 * 1 * 2)
 
 
 class TestConvolutionIdentity:
