@@ -56,15 +56,20 @@ def delta_j(ci: CompleteIntersection, j: int) -> int:
 
         sum over subsets I of {1..k} of (-1)^(k - |I|) * C(sum_I d + d_j - 1, dim + k).
 
-    Every subset is summed, but a subset with sum_I d + d_j - 1 < dim + k skips
-    the binomial: it is 0 there by ``binomial``'s convention, and over the
-    sweep inputs that holds for most subsets.  The sign is the parity of
-    k - |I|.  The budget of ``dim_R_prime_1`` still counts all 2^k subsets.
+    When d_j < index every binomial is 0 and the answer is 0 at once: a subset
+    sum is at most D = sum d, so sum_I d + d_j - 1 <= D + d_j - 1 < D + index - 1
+    = dim + k.  Otherwise every subset is summed, but a subset with
+    sum_I d + d_j - 1 < dim + k skips the binomial: it is 0 there by
+    ``binomial``'s convention, and over the sweep inputs that holds for most
+    subsets.  The sign is the parity of k - |I|.  The budget of
+    ``dim_R_prime_1`` still counts all 2^k subsets of every j.
     """
     k = ci.k
     if not 1 <= j <= k:
         raise ValueError(f"j must be in 1..{k}, got {j}")
     dj = ci.degrees[j - 1]
+    if dj < ci.index:
+        return 0
     lower = ci.dim + k
     total = 0
     for mask in range(1 << k):

@@ -68,9 +68,10 @@ def fano_sweep(max_dim: int, max_k: int, max_degree: int) -> Iterator[CompleteIn
     deterministic (dim, k, degrees) order.  Tuples grow one degree at a time,
     and a prefix of sum s takes a next degree d only while s + d * (degrees
     left, d included) <= dim + k, so no tuple is built only to be filtered out.
+    k stops at dim, since k degrees of at least 2 need 2k <= dim + k.
     """
     for dim in range(2, max_dim + 1):
-        for k in range(1, max_k + 1):
+        for k in range(1, min(max_k, dim) + 1):
             level: list[tuple[tuple[int, ...], int]] = [((), 0)]  # (prefix, its sum)
             for left in range(k, 0, -1):
                 level = [

@@ -729,6 +729,32 @@ class TestEntryPoint:
         assert lines[0] == "N,degrees,index,h_pr,h,k_lg,theorem_holds"
         assert len(lines) == 10 and all(row.endswith(",true") for row in lines[1:])
 
+    def test_sweep_stops_k_at_the_dimension(self):
+        # k degrees of at least 2 need k <= dim, so a million equations list
+        # the rows of three; walking every k to the bound took 36 s at 10,000
+        script = (
+            "import sys, time\n"
+            "from fanolg.cli import main\n"
+            "start = time.perf_counter()\n"
+            "argv = ['sweep', '--max-dim', '3', '--max-k', sys.argv[1], '--max-degree', '2']\n"
+            "code = main(argv)\n"
+            "print(code, time.perf_counter() - start)\n"
+        )
+        src = str(Path(fanolg.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for max_k in ("1000000", "3"):
+            done = subprocess.run(
+                [sys.executable, "-c", script, max_k], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": path}, timeout=60,
+            )
+            *rows, status = done.stdout.splitlines()
+            code, seconds = status.split()
+            assert (code, done.stderr) == ("0", "")
+            assert float(seconds) < 1
+            outputs.append(rows)
+        assert outputs[0] == outputs[1] and len(outputs[0]) == 6
+
     def test_periods_counts_the_terms_of_f_first(self):
         # f would have C(41, 20) = 269,128,937,220 terms; the address-space cap
         # stops the interpreter early should the count ever come after the terms

@@ -176,6 +176,27 @@ class TestDeltaJ:
         ci = CompleteIntersection(4, (3,))
         assert delta_j(ci, 1) == plain_delta_j(ci, 1) == 1
 
+    def test_degree_one_below_the_index(self):
+        # (3,) in dimension 5 has index 4 = d_1 + 1: the full subset's binomial
+        # is C(dim + k - 1, dim + k) = 0, so no binomial survives.  In (2, 3) in
+        # dimension 5 (index 3) the two equations sit on either side.
+        ci = CompleteIntersection(5, (3,))
+        assert delta_j(ci, 1) == plain_delta_j(ci, 1) == 0
+        pair = CompleteIntersection(5, (2, 3))
+        expected = [plain_delta_j(pair, 1), plain_delta_j(pair, 2)]
+        assert [delta_j(pair, 1), delta_j(pair, 2)] == expected == [0, 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(fano_complete_intersections(max_k=8))
+    def test_property_vanishes_exactly_below_the_index(self, ci):
+        # at or above the index the monomial x^(d_j - index) in one of the
+        # dim + 1 free variables is always counted
+        for j, dj in enumerate(ci.degrees, 1):
+            if dj < ci.index:
+                assert delta_j(ci, j) == 0
+            else:
+                assert delta_j(ci, j) >= 1
+
     @settings(max_examples=300, deadline=None)
     @given(fano_complete_intersections(max_k=8))
     def test_property_equals_the_plain_mask_loop(self, ci):

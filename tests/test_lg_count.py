@@ -8,7 +8,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fanolg
@@ -18,6 +18,7 @@ from fanolg import (
     StratumContribution,
     binomial,
     count_monomials_oracle,
+    delta_j,
     dim_R_1,
     enumerate_strata,
     fano_sweep,
@@ -72,6 +73,14 @@ def unmerged_k_lg_closed(ci):
             c * binomial(free + dj - 1, free + ci.l + pinned) for c, free, pinned in terms
         )
     return total - 1 if ci.l == 0 else total
+
+
+def per_equation_strata_sums(k, strata):
+    """The sum of multiplicity * divisors over the strata of each label j."""
+    sums = [0] * k
+    for c in strata:
+        sums[c.j - 1] += c.multiplicity * c.divisors
+    return sums
 
 
 class TestEnumerateStrata:
@@ -273,6 +282,31 @@ class TestMainTheorem:
         for dim in range(2, 8):
             ci = CompleteIntersection(dim, (dim + 1,))
             assert k_lg(ci).k_lg == comb(2 * dim + 1, dim + 1) - dim - 2
+
+    def test_each_equation_on_the_sweep_at_index_two_and_up(self):
+        # At index >= 2 the theorem holds equation by equation: delta_j, an
+        # inclusion-exclusion of binomials, equals the stratum sum of label j.
+        # An equation below the index has neither.  Index 1 is left out: its
+        # k - 1 and N + k + 1 corrections do not split by j.
+        checked = below = 0
+        for ci in fano_sweep(16, 5, 10):
+            if ci.index >= 2:
+                strata = enumerate_strata(ci)
+                by_label = per_equation_strata_sums(ci.k, strata)
+                for j, dj in enumerate(ci.degrees, 1):
+                    assert delta_j(ci, j) == by_label[j - 1], (ci, j)
+                    checked += 1
+                    if dj < ci.index:
+                        assert all(c.j != j for c in strata), (ci, j)
+                        below += 1
+        assert (checked, below) == (5484, 2700)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fano_complete_intersections(max_k=8))
+    def test_property_each_equation_at_index_two_and_up(self, ci):
+        assume(ci.index >= 2)
+        by_label = per_equation_strata_sums(ci.k, enumerate_strata(ci))
+        assert [delta_j(ci, j) for j in range(1, ci.k + 1)] == by_label
 
     def test_both_sides_vanish_one_past_the_band(self):
         # With D = sum d and d_max = max d, at N = D + d_max - k the index is
