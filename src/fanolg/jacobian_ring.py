@@ -16,9 +16,11 @@ from .exactmath import BudgetExceeded, binomial, capped_sum_counts
 from .varieties import CompleteIntersection
 
 
-# Summands the inclusion-exclusion of ``dim_R_prime_1``, the one path it bounds,
-# may add: k * 2^k for k equations, so k <= 16 answers (k = 16 takes about 2 s
-# on a 2-vCPU x86_64 VM) and k >= 17 is refused before any arithmetic.
+# Summands the mask loops of ``dim_R_prime_1``, the one path it bounds, may add:
+# 2^k for each of the k equations with d_j - index >= 2, the only ones that loop.
+# So sixteen cubics at index 1 answer (about 2.5 s in dimension 32 on a 2-vCPU
+# x86_64 VM), seventeen are refused before any arithmetic, and the equations
+# with d_j - index <= 1, every quadric among them, cost nothing.
 MAX_INCLUSION_EXCLUSION_SUMMANDS = 1 << 20
 
 
@@ -56,21 +58,26 @@ def delta_j(ci: CompleteIntersection, j: int) -> int:
 
         sum over subsets I of {1..k} of (-1)^(k - |I|) * C(sum_I d + d_j - 1, dim + k).
 
-    When d_j < index every binomial is 0 and the answer is 0 at once: a subset
-    sum is at most D = sum d, so sum_I d + d_j - 1 <= D + d_j - 1 < D + index - 1
-    = dim + k.  Otherwise every subset is summed, but a subset with
-    sum_I d + d_j - 1 < dim + k skips the binomial: it is 0 there by
-    ``binomial``'s convention, and over the sweep inputs that holds for most
-    subsets.  The sign is the parity of k - |I|.  The budget of
-    ``dim_R_prime_1`` still counts all 2^k subsets of every j.
+    With D = sum d = dim + k + 1 - index and r = d_j - index, a binomial is
+    nonzero only when sum_I d + d_j - 1 >= dim + k, that is when the degrees
+    outside I sum to at most r.  Three cases follow:
+
+    - r < 0: no subset qualifies, and the answer is 0.
+    - r in {0, 1}: every degree is at least 2, so only the full subset
+      qualifies, and the answer is C(dim + k + r, dim + k): 1 or dim + k + 1.
+    - r >= 2: the mask loop visits all 2^k subsets, forms the binomial only
+      where it can be nonzero, and takes the sign from the parity of k - |I|.
     """
     k = ci.k
     if not 1 <= j <= k:
         raise ValueError(f"j must be in 1..{k}, got {j}")
     dj = ci.degrees[j - 1]
-    if dj < ci.index:
+    r = dj - ci.index
+    if r < 0:
         return 0
     lower = ci.dim + k
+    if r < 2:
+        return lower + 1 if r else 1
     total = 0
     for mask in range(1 << k):
         n = sum(d for t, d in enumerate(ci.degrees) if mask >> t & 1) + dj - 1
@@ -84,10 +91,12 @@ def dim_R_prime_1(ci: CompleteIntersection) -> int:
     """Dimension of the (1, -index) piece of the partial quotient ring, namely
     sum_j delta_j.
 
-    Raises ``BudgetExceeded`` when the k * 2^k summands of the k
-    inclusion-exclusions would pass ``MAX_INCLUSION_EXCLUSION_SUMMANDS``.
+    Raises ``BudgetExceeded`` when the mask loops would add more than
+    ``MAX_INCLUSION_EXCLUSION_SUMMANDS`` summands: 2^k for each j with
+    d_j - index >= 2, since ``delta_j`` answers the other equations at once.
     """
-    summands = ci.k << ci.k
+    bar = ci.index + 2
+    summands = sum(d >= bar for d in ci.degrees) << ci.k
     if summands > MAX_INCLUSION_EXCLUSION_SUMMANDS:
         raise BudgetExceeded(
             f"the inclusion-exclusion for {ci.k} equations would add {summands:,} summands,"

@@ -19,12 +19,14 @@ from fanolg import cli
 from fanolg import (
     BudgetExceeded,
     CompleteIntersection,
+    count_monomials_oracle,
     f_closed,
     f_rec,
     g_closed,
     g_rec,
     hodge_h1,
     k_lg,
+    k_lg_closed,
     verify_main_theorem,
     verify_period,
 )
@@ -86,11 +88,27 @@ class TestHodge:
 
     @pytest.mark.parametrize("command", ["hodge", "verify"])
     def test_summand_budget_exceeded_is_a_one_line_error(self, capsys, command):
-        code, out, err = run(capsys, command, "--dim", "30", "--degrees", ",".join(["2"] * 20))
+        code, out, err = run(capsys, command, "--dim", "34", "--degrees", ",".join(["3"] * 17))
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and "summands" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("dim", [20, 30])
+    def test_any_number_of_quadrics_answers(self, capsys, dim):
+        # no quadric runs a mask loop, so twenty of them are charged nothing
+        ci = CompleteIntersection(dim, (2,) * 20)
+        h = count_monomials_oracle(ci) - (ci.dim + ci.k + 1 if ci.index == 1 else 0)
+        assert h == k_lg_closed(ci) == (779 if dim == 20 else 0)
+        flags = ("--dim", str(dim), "--degrees", ",".join(["2"] * 20), "--format", "json")
+        code, out, err = run(capsys, "hodge", *flags)
+        assert (code, err) == (0, "")
+        assert {json.loads(out)[key] for key in ("h", "h_pr", "dim_R")} == {str(h)}
+        code, out, err = run(capsys, "verify", *flags)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["holds"] is True
+        assert {payload[key] for key in ("h", "h_pr", "k_lg")} == {str(h)}
 
     @pytest.mark.parametrize("command", ["hodge", "verify"])
     def test_binomial_too_large_to_form_is_a_one_line_error(self, capsys, command):
@@ -626,7 +644,7 @@ PINNED_OUTPUT = {
     "periods --dim 3 --degrees 3 --order -1": "b7b1d31a7fe495b5",
     "hodge --dim 3": "919c4c5ef7539749",
     # the refusals name k (and the degrees' bit lengths), not the variety
-    "hodge --dim 30 --degrees 2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2": "e4db2fa050bf5588",
+    "hodge --dim 34 --degrees 3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3": "bb3bf882529ee7d6",
     "klg --dim 200000 --degrees 200001": "53d67b9cc036fbb2",
     "periods --dim 6 --degrees 7 --order 7": "a151471eb87295a7",
     "fg --d 400 --s 400": "1ac52fc16ae40049",
@@ -728,6 +746,29 @@ class TestEntryPoint:
         assert (done.returncode, done.stderr) == (0, "")
         assert lines[0] == "N,degrees,index,h_pr,h,k_lg,theorem_holds"
         assert len(lines) == 10 and all(row.endswith(",true") for row in lines[1:])
+
+    def test_quadrics_answer_in_linear_time(self):
+        # 200 quadrics at index 1: each delta_j is one binomial, read in O(1)
+        script = (
+            "import time\n"
+            "from fanolg.cli import main\n"
+            "start = time.perf_counter()\n"
+            "code = main(['hodge', '--dim', '200', '--degrees', ','.join(['2'] * 200),"
+            " '--format', 'json'])\n"
+            "print(code, time.perf_counter() - start)\n"
+        )
+        src = str(Path(fanolg.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+        *answer, status = done.stdout.splitlines()
+        code, seconds = status.split()
+        assert (code, done.stderr) == ("0", "")
+        assert float(seconds) < 1
+        ci = CompleteIntersection(200, (2,) * 200)  # index 1: dim + k + 1 = 401 relations
+        assert json.loads("\n".join(answer))["h"] == str(count_monomials_oracle(ci) - 401)
 
     def test_sweep_stops_k_at_the_dimension(self):
         # k degrees of at least 2 need k <= dim, so a million equations list

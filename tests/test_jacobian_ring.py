@@ -23,6 +23,7 @@ from fanolg import (
     fano_sweep,
     hodge_h1,
     hypersurface_corollary,
+    k_lg_closed,
     poly_space_dim,
 )
 import fanolg
@@ -203,6 +204,32 @@ class TestDeltaJ:
         for j in range(1, ci.k + 1):
             assert delta_j(ci, j) == plain_delta_j(ci, j)
 
+    def test_cubic_threefold_is_one_binomial(self):
+        # index 2, d_1 - index = 1: C(dim + k + 1, dim + k) = 5 = h^{1,2}
+        assert delta_j(CUBIC_THREEFOLD, 1) == plain_delta_j(CUBIC_THREEFOLD, 1) == 5
+
+    def test_one_binomial_case_on_the_sweep(self):
+        # every (input, j) of fano_sweep(16, 5, 10) with d_j - index in {0, 1}
+        pairs = [
+            (ci, j, dj - ci.index)
+            for ci in fano_sweep(16, 5, 10)
+            for j, dj in enumerate(ci.degrees, 1)
+            if dj - ci.index in (0, 1)
+        ]
+        assert len(pairs) == 1939
+        for ci, j, r in pairs:
+            closed = ci.dim + ci.k + 1 if r else 1
+            assert delta_j(ci, j) == plain_delta_j(ci, j) == closed, (ci, j)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fano_complete_intersections(max_k=8))
+    def test_property_one_binomial_case(self, ci):
+        for j, dj in enumerate(ci.degrees, 1):
+            r = dj - ci.index
+            if r in (0, 1):
+                lower = ci.dim + ci.k
+                assert delta_j(ci, j) == plain_delta_j(ci, j) == comb(lower + r, lower)
+
 
 class TestRingDimensions:
     def test_index_one_hypersurface_of_maximal_degree(self):
@@ -250,8 +277,9 @@ class TestRingDimensions:
 
 class TestSummandBudget:
     def test_limit_is_exact(self, monkeypatch):
-        # k = 3 equations: 3 inclusion-exclusions of 2^3 summands each
-        ci = CompleteIntersection(6, (2, 2, 2))
+        # k = 3 cubics at index 1, each with d_j - index = 2: 3 mask loops of
+        # 2^3 summands each
+        ci = CompleteIntersection(6, (3, 3, 3))
         expected = sum(delta_j(ci, j) for j in (1, 2, 3))
         monkeypatch.setattr(jacobian_ring, "MAX_INCLUSION_EXCLUSION_SUMMANDS", 24)
         assert dim_R_prime_1(ci) == expected
@@ -262,9 +290,32 @@ class TestSummandBudget:
             hodge_h1(ci)
 
     def test_seventeen_equations_are_refused(self):
-        # 17 * 2^17 summands, past the default of 2^20 = 16 * 2^16
+        # 17 cubics at index 1 loop: 17 * 2^17 summands, past the default of
+        # 2^20 = 16 * 2^16
         with pytest.raises(BudgetExceeded, match="2,228,224 summands"):
-            hodge_h1(CompleteIntersection(30, (2,) * 17))
+            hodge_h1(CompleteIntersection(34, (3,) * 17))
+
+    def test_only_the_mask_loops_are_charged(self, monkeypatch):
+        # index 1: the quadrics have d_j - index = 1 and answer at once, and
+        # only the quartic (d_j - index = 3) runs its 2^3 subsets
+        ci = CompleteIntersection(5, (2, 2, 4))
+        expected = plain_delta_j(ci, 1) + plain_delta_j(ci, 2) + plain_delta_j(ci, 3)
+        monkeypatch.setattr(jacobian_ring, "MAX_INCLUSION_EXCLUSION_SUMMANDS", 8)
+        assert dim_R_prime_1(ci) == expected
+        monkeypatch.setattr(jacobian_ring, "MAX_INCLUSION_EXCLUSION_SUMMANDS", 7)
+        with pytest.raises(BudgetExceeded, match="8 summands"):
+            dim_R_prime_1(ci)
+
+    @pytest.mark.parametrize("dim", [20, 30])
+    def test_any_number_of_quadrics_answers(self, dim):
+        # no quadric runs a mask loop; at dimension 20 (index 1) the oracle
+        # counts 820 monomials, less the 41 relations of the index-1 correction
+        ci = CompleteIntersection(dim, (2,) * 20)
+        correction = ci.dim + ci.k + 1 if ci.index == 1 else 0
+        report = hodge_h1(ci)
+        assert report.dim_R_prime == count_monomials_oracle(ci)
+        assert report.h == report.h_pr == count_monomials_oracle(ci) - correction
+        assert report.h == k_lg_closed(ci) == (779 if dim == 20 else 0)
 
 
 class TestAltDimFormula:
