@@ -46,10 +46,8 @@ from .resolution import (
     TraceNode,
     chart_children,
     f_closed,
-    f_rec,
     fg_rec,
     g_closed,
-    g_rec,
     resolution_trace,
 )
 from .varieties import CompleteIntersection, fano_sweep
@@ -83,8 +81,6 @@ __all__ = [
     "TraceNode",
     "TraceEdge",
     "ResolutionTrace",
-    "f_rec",
-    "g_rec",
     "fg_rec",
     "f_closed",
     "g_closed",

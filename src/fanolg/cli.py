@@ -194,10 +194,6 @@ def _cmd_periods(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_fg(args: argparse.Namespace) -> tuple[int, dict]:
     d, s = args.d, args.s
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
     f_recursion, g_recursion = fg_rec(d, s)
     payload = {
         "d": d,
@@ -235,14 +231,16 @@ def _ci_text(payload: dict) -> str:
 
 def _hodge_text(p: dict) -> str:
     n = p["dim"] - 1
-    return (
-        f"complete intersection: {_ci_text(p)}\n"
-        f"index                : {p['index']}\n"
-        f"dim R'               : {p['dim_R_prime']}\n"
-        f"dim R                : {p['dim_R']}\n"
-        f"h_pr^(1,{n})           : {p['h_pr']}\n"
-        f"h^(1,{n})              : {p['h']}"
-    )
+    rows = [
+        ("complete intersection", _ci_text(p)),
+        ("index", p["index"]),
+        ("dim R'", p["dim_R_prime"]),
+        ("dim R", p["dim_R"]),
+        (f"h_pr^(1,{n})", p["h_pr"]),
+        (f"h^(1,{n})", p["h"]),
+    ]
+    width = max(len(label) for label, _ in rows)
+    return "\n".join(f"{label:<{width}}: {value}" for label, value in rows)
 
 
 def _klg_text(p: dict) -> str:

@@ -3,7 +3,8 @@
     a_1^{d_1} * ... * a_k^{d_k} = lambda * x_1 * ... * x_s,
 
 viewed as families over the lambda-line.  The module provides the counting
-functions F and G (mutual recursion and closed binomial forms) and a
+functions F and G, by their mutual recursion (``fg_rec``, the recursion's one
+entry point) and by closed binomial forms (``f_closed``, ``g_closed``), and a
 chart-rewriting simulator of the blow-up procedure whose lexicographically
 decreasing weight proves termination.
 """
@@ -37,27 +38,33 @@ DEFAULT_NODE_LIMIT = 1_000_000
 # counting functions
 
 
-def f_rec(d: int, s: int) -> int:
-    """Number of irreducible components over lambda = 0 in a crepant resolution
-    of a^d = lambda * x_1 * ... * x_s (exceptional divisors plus the strict
-    transform of the central fiber), by the mutual recursion with ``g_rec``:
+def fg_rec(d: int, s: int) -> tuple[int, int]:
+    """F(d, s) and G(d, s), d >= 1 and s >= 0, by the mutual recursion
 
-        F(d, s) = sum_{i=0}^{s} C(s, i) * G(d, i),   G(d, i) = F(d - i, i).
+        F(d, s) = sum_{i=0}^{s} C(s, i) * G(d, i),   G(d, i) = F(d - i, i),
 
-    Conventions: 0 whenever d <= 0, and 1 when s = 0 (the hypersurface is
-    already smooth, its central fiber irreducible).  The recursion is evaluated
-    without Python recursion, level by level in d, each state as a dot product
-    of a binomial row with the level's G values (see ``_f_states``), and
-    raises ``BudgetExceeded`` when it would add more than
-    ``MAX_RECURSION_SUMMANDS`` summands; past d = 500,000 it raises at once.
+    with F = 0 at d <= 0.  This is the one evaluation of the recursion; its
+    closed forms are ``f_closed`` and ``g_closed``.  F counts the irreducible
+    components over lambda = 0 in a crepant resolution of
+    a^d = lambda * x_1 * ... * x_s (exceptional divisors plus the strict
+    transform of the central fiber), G the exceptional divisors whose center
+    is the deepest stratum a = x_1 = ... = x_s = 0: blowing it up leaves, in
+    the one chart that still meets it, the same family with d lowered to
+    d - s.  F(d, 0) = G(d, 0) = 1 and G(d, s) = 0 for s >= d; otherwise G(d, s)
+    is the i = s term for F(d, s), so its state lies in F's table.
+
+    The levels d are evaluated bottom up, without Python recursion (see
+    ``_f_states``); ``BudgetExceeded`` is raised when the recursion would add
+    more than ``MAX_RECURSION_SUMMANDS`` summands, at once past d = 500,000.
     """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if s < 0:
-        raise ValueError(f"f_rec requires s >= 0, got s={s}")
-    if d <= 0:
-        return 0
+        raise ValueError(f"s must be >= 0, got {s}")
     if s == 0:
-        return 1
-    return _f_states(d, s)[d][s]
+        return 1, 1
+    levels = _f_states(d, s)
+    return levels[d][s], levels[d - s][s] if s < d else 0
 
 
 def _f_states(d: int, s: int) -> list[dict[int, int]]:
@@ -129,43 +136,8 @@ def _summand_limit(d: int, s: int) -> BudgetExceeded:
     )
 
 
-def fg_rec(d: int, s: int) -> tuple[int, int]:
-    """F(d, s) and G(d, s) from one evaluation of the recursion of ``f_rec``.
-
-    G(d, s) = F(d - s, s) is the i = s term of the recursion for F(d, s), so
-    for 1 <= s <= d - 1 its state lies in the table that F(d, s) builds; G is
-    1 at s = 0 and 0 for s >= d.  Same values and budget as ``f_rec`` and
-    ``g_rec``, with the shared states evaluated once.
-    """
-    if d < 1:
-        raise ValueError(f"fg_rec requires d >= 1, got d={d}")
-    if s < 0:
-        raise ValueError(f"fg_rec requires s >= 0, got s={s}")
-    if s == 0:
-        return 1, 1
-    levels = _f_states(d, s)
-    return levels[d][s], levels[d - s][s] if s < d else 0
-
-
-def g_rec(d: int, s: int) -> int:
-    """Number of exceptional divisors in the central fiber whose center is the
-    deepest vanishing stratum a = x_1 = ... = x_s = 0, by reduction to ``f_rec``.
-
-    Blowing up the deepest stratum leaves, in the one chart that still meets it,
-    the same family with d lowered to d - s; divisors met in the other charts
-    sit over shallower strata and are not counted here.  G(d, 0) = 1.
-    """
-    if d < 1:
-        raise ValueError(f"g_rec requires d >= 1, got d={d}")
-    if s < 0:
-        raise ValueError(f"g_rec requires s >= 0, got s={s}")
-    if s == 0:
-        return 1
-    return f_rec(d - s, s)
-
-
 def g_closed(d: int, s: int) -> int:
-    """Closed form of ``g_rec``: C(d - 1, s)."""
+    """Closed form of G, which ``fg_rec`` evaluates by recursion: C(d - 1, s)."""
     if d < 1:
         raise ValueError(f"g_closed requires d >= 1, got d={d}")
     if s < 0:
@@ -174,7 +146,7 @@ def g_closed(d: int, s: int) -> int:
 
 
 def f_closed(d: int, s: int) -> int:
-    """Closed form of ``f_rec``: C(d + s - 1, s)."""
+    """Closed form of F, which ``fg_rec`` evaluates by recursion: C(d + s - 1, s)."""
     if d < 1:
         raise ValueError(f"f_closed requires d >= 1, got d={d}")
     if s < 0:

@@ -19,10 +19,9 @@ from fanolg import (
     dim_R_1,
     dim_R_prime_1,
     f_closed,
-    f_rec,
     fano_sweep,
+    fg_rec,
     g_closed,
-    g_rec,
     hodge_h1,
     hypersurface_corollary,
     k_lg,
@@ -70,21 +69,20 @@ def test_criterion_1_cubic_fixtures():
 
 def test_criterion_2_resolution_counts():
     with Criterion("criterion 2: resolution count fixtures", 1.0):
-        assert f_rec(3, 1) == 3
-        assert f_rec(3, 2) == 6
-        assert f_rec(3, 3) == 10
+        assert fg_rec(3, 1)[0] == 3
+        assert fg_rec(3, 2) == (6, 1)
+        assert fg_rec(3, 3) == (10, 0)
         for d in range(1, 21):
-            assert f_rec(d + 1, 1) == d + 1
-        assert g_rec(3, 2) == 1
-        assert g_rec(3, 3) == 0
+            assert fg_rec(d + 1, 1)[0] == d + 1
 
 
 def test_criterion_3_recursion_closed_form_equivalence():
     with Criterion("criterion 3: recursion vs closed form, d,s <= 40", 5.0):
         for d in range(1, 41):
             for s in range(0, 41):
-                assert g_rec(d, s) == g_closed(d, s) == comb(d - 1, s), (d, s)
-                assert f_rec(d, s) == f_closed(d, s) == comb(d + s - 1, s), (d, s)
+                f, g = fg_rec(d, s)
+                assert f == f_closed(d, s) == comb(d + s - 1, s), (d, s)
+                assert g == g_closed(d, s) == comb(d - 1, s), (d, s)
 
 
 def test_criterion_4_convolution_identity_sweep():

@@ -22,7 +22,7 @@ from fanolg import (
     dim_R_1,
     enumerate_strata,
     fano_sweep,
-    g_rec,
+    fg_rec,
     hodge_h1,
     k_lg,
     k_lg_closed,
@@ -39,7 +39,7 @@ QUARTIC_THREEFOLD = CompleteIntersection(3, (4,))
 
 def unpruned_strata(ci):
     """Every admissible label over the full product of its ranges, zero
-    contributions included, with divisors from the recursion ``g_rec``: an
+    contributions included, with divisors from the recursion ``fg_rec``: an
     oracle for the bounded enumeration that shares neither its bound nor the
     closed form of G."""
     out = []
@@ -51,7 +51,7 @@ def unpruned_strata(ci):
             multiplicity = 1
             for d, i in zip(ci.degrees, ivec):
                 multiplicity *= binomial(d, i)
-            divisors = g_rec(ci.degrees[j - 1], sum(ivec) + ci.l)
+            divisors = fg_rec(ci.degrees[j - 1], sum(ivec) + ci.l)[1]
             out.append(StratumContribution(j, ivec, multiplicity, divisors))
     return out
 

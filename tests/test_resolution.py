@@ -23,10 +23,8 @@ from fanolg import (
     TraceNode,
     chart_children,
     f_closed,
-    f_rec,
     fg_rec,
     g_closed,
-    g_rec,
     resolution_trace,
 )
 from fanolg import resolution
@@ -133,27 +131,24 @@ def traced_peak(fn, *args) -> int:
 
 class TestCountingFunctions:
     def test_f_fixtures(self):
-        assert f_rec(3, 1) == 3
-        assert f_rec(3, 2) == 6
-        assert f_rec(3, 3) == 10
+        assert fg_rec(3, 1)[0] == 3
+        assert fg_rec(3, 2)[0] == 6
+        assert fg_rec(3, 3)[0] == 10
 
     def test_f_base_cases(self):
         for d in range(1, 11):
-            assert f_rec(d, 0) == 1
-        for s in range(0, 11):
-            assert f_rec(0, s) == 0
-            assert f_rec(-3, s) == 0
+            assert fg_rec(d, 0)[0] == 1
 
     def test_g_fixtures(self):
-        assert g_rec(3, 2) == 1
-        assert g_rec(3, 3) == 0
+        assert fg_rec(3, 2)[1] == 1
+        assert fg_rec(3, 3)[1] == 0
         for d in range(1, 11):
-            assert g_rec(d, 0) == 1
+            assert fg_rec(d, 0)[1] == 1
 
     def test_g_vanishes_when_d_at_most_s(self):
         for d in range(1, 12):
             for s in range(d, 15):
-                assert g_rec(d, s) == 0
+                assert fg_rec(d, s)[1] == 0
 
     def test_g_closed_values(self):
         assert g_closed(3, 2) == 1
@@ -171,18 +166,17 @@ class TestCountingFunctions:
     def test_quadratic_family(self):
         # F(3, s) = (s+2)(s+1)/2 for all s
         for s in range(0, 12):
-            assert f_rec(3, s) == comb(s + 2, 2)
+            assert fg_rec(3, s)[0] == comb(s + 2, 2)
 
     def test_recursion_matches_closed_form(self):
         for d in range(1, 16):
             for s in range(0, 16):
-                assert g_rec(d, s) == g_closed(d, s), (d, s)
-                assert f_rec(d, s) == f_closed(d, s), (d, s)
+                assert fg_rec(d, s) == (f_closed(d, s), g_closed(d, s)), (d, s)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(-2, 150), st.integers(0, 150))
+    @given(st.integers(1, 150), st.integers(0, 150))
     def test_property_equals_plain_recursion(self, d, s):
-        assert f_rec(d, s) == recursive_f(d, s)
+        assert fg_rec(d, s) == (recursive_f(d, s), 1 if s == 0 else recursive_f(d - s, s))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 10**9))
@@ -190,31 +184,22 @@ class TestCountingFunctions:
         # no binomial row runs to s: the root's row stops at min(s, d - 1)
         assert fg_rec(d, s) == (f_closed(d, s), g_closed(d, s))
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 60), st.integers(0, 60))
-    def test_property_shared_table_equals_separate_routes(self, d, s):
-        assert fg_rec(d, s) == (f_rec(d, s), g_rec(d, s))
-
     def test_deep_recursion_answers(self):
         # one state per level of d: far past Python's recursion limit
-        assert f_rec(3000, 1) == 3000
-        assert g_rec(3000, 1) == 2999
         assert fg_rec(3000, 1) == (3000, 2999)
-        assert f_rec(2500, 3) == f_closed(2500, 3)
+        assert fg_rec(2500, 3) == (f_closed(2500, 3), g_closed(2500, 3))
 
     def test_large_square_within_budget(self):
-        assert f_rec(120, 120) == f_closed(120, 120)
-        assert g_rec(240, 120) == f_rec(120, 120)
+        # G(240, 120) = F(120, 120), read from F(240, 120)'s table
+        assert fg_rec(240, 120)[1] == fg_rec(120, 120)[0] == f_closed(120, 120)
 
     def test_summand_budget(self):
         # (400, 400) reaches about 1.9M summands, past the budget of 1M
         assert reachable_summands(400, 400) > MAX_RECURSION_SUMMANDS
         with pytest.raises(BudgetExceeded, match="summands"):
-            f_rec(400, 400)
-        with pytest.raises(BudgetExceeded):
-            g_rec(800, 400)
-        with pytest.raises(BudgetExceeded):
             fg_rec(400, 400)
+        with pytest.raises(BudgetExceeded, match="summands"):
+            fg_rec(800, 400)
 
     @pytest.mark.parametrize("d, s, count", [(60, 60, 7704), (120, 56, 47904), (3000, 1, 5999)])
     def test_summand_budget_is_exact(self, monkeypatch, d, s, count):
@@ -234,7 +219,7 @@ class TestCountingFunctions:
         # 2d - 1 summands at least, one state per level: refused before any level
         def refused():
             with pytest.raises(BudgetExceeded, match="summands"):
-                f_rec(d, 1)
+                fg_rec(d, 1)
 
         assert traced_peak(refused) < 2**20
 
@@ -243,16 +228,13 @@ class TestCountingFunctions:
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            f_rec(3, -1)
-        with pytest.raises(ValueError):
-            g_rec(0, 2)
-        with pytest.raises(ValueError):
             g_closed(0, 1)
         with pytest.raises(ValueError):
             f_closed(2, -1)
-        with pytest.raises(ValueError):
+        # the command line prints these messages as they are
+        with pytest.raises(ValueError, match=r"^d must be >= 1, got 0$"):
             fg_rec(0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^s must be >= 0, got -1$"):
             fg_rec(3, -1)
 
 
