@@ -380,9 +380,10 @@ def verify_period(ci: CompleteIntersection, order: int) -> PeriodReport:
 
     Exact equality is required; on failure the first differing index is
     reported.  The expansion is bounded by ``MAX_TERM_PRODUCTS`` term products
-    (see ``phi_series``).
+    (see ``phi_series``).  At order 0 the mirror polynomial is not built: the
+    constant term of f^0 is 1 whatever f is.
     """
-    phi = phi_series(build_fx(ci), order)
+    phi = PowerSeries((1,)) if order == 0 else phi_series(build_fx(ci), order)
     closed = i_series(ci, order)
     mismatch = _first_mismatch(phi.coefficients, closed.coefficients)
     return PeriodReport(

@@ -17,10 +17,11 @@ from .varieties import CompleteIntersection
 
 
 # Summands the mask loops of ``dim_R_prime_1``, the one path it bounds, may add:
-# 2^k for each of the k equations with d_j - index >= 2, the only ones that loop.
-# So sixteen cubics at index 1 answer (about 2.5 s in dimension 32 on a 2-vCPU
-# x86_64 VM), seventeen are refused before any arithmetic, and the equations
-# with d_j - index <= 1, every quadric among them, cost nothing.
+# 2^k for each distinct degree d with d - index >= 2, since equations of equal
+# degree share one loop and the others need none.  So twenty cubics at index 1
+# answer (about 3.3 s in dimension 40 on a 2-vCPU x86_64 VM), twenty-one are
+# refused before any arithmetic, and the degrees with d - index <= 1, the
+# quadrics among them, cost nothing.
 MAX_INCLUSION_EXCLUSION_SUMMANDS = 1 << 20
 
 
@@ -91,18 +92,24 @@ def dim_R_prime_1(ci: CompleteIntersection) -> int:
     """Dimension of the (1, -index) piece of the partial quotient ring, namely
     sum_j delta_j.
 
+    ``delta_j`` depends on j only through d_j, so it is evaluated once per
+    distinct degree, at the first equation of that degree, and multiplied by
+    how many equations share it.
+
     Raises ``BudgetExceeded`` when the mask loops would add more than
-    ``MAX_INCLUSION_EXCLUSION_SUMMANDS`` summands: 2^k for each j with
-    d_j - index >= 2, since ``delta_j`` answers the other equations at once.
+    ``MAX_INCLUSION_EXCLUSION_SUMMANDS`` summands: 2^k for each distinct degree
+    d with d - index >= 2, since ``delta_j`` answers the other equations at once.
     """
+    degrees = ci.degrees
+    distinct = dict.fromkeys(degrees)
     bar = ci.index + 2
-    summands = sum(d >= bar for d in ci.degrees) << ci.k
+    summands = sum(d >= bar for d in distinct) << ci.k
     if summands > MAX_INCLUSION_EXCLUSION_SUMMANDS:
         raise BudgetExceeded(
             f"the inclusion-exclusion for {ci.k} equations would add {summands:,} summands,"
             f" more than {MAX_INCLUSION_EXCLUSION_SUMMANDS:,}"
         )
-    return sum(delta_j(ci, j) for j in range(1, ci.k + 1))
+    return sum(degrees.count(d) * delta_j(ci, degrees.index(d) + 1) for d in distinct)
 
 
 def count_monomials_oracle(ci: CompleteIntersection) -> int:

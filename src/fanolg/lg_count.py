@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter, mul
 from typing import Literal, NamedTuple
 
 from .exactmath import BudgetExceeded, binomial, binomial_row, capped_sum_counts
@@ -23,7 +24,7 @@ from .varieties import CompleteIntersection
 # equations of degree 20 in dimension 153 (12,498,200 strata) and index-1
 # hypersurfaces of degree 1,000 or more are refused; nine equations of degree
 # 12 in dimension 100 (831,402 strata) stay inside: ``fanolg klg`` answers them
-# in 1.9-2.8 s at 214 MB peak RSS (CPython 3.11, shared 2-vCPU x86-64 VM).
+# in about 2.5 s at 212 MB peak RSS (CPython 3.11, shared 2-vCPU x86-64 VM).
 MAX_STRATA_COST = 1_000_000
 
 
@@ -89,7 +90,7 @@ def enumerate_strata(ci: CompleteIntersection) -> list[StratumContribution]:
     for each j in turn, each as a ``StratumContribution``.  They grow one entry
     at a time from their prefixes, each prefix carrying its sum and its
     multiplicity, so every entry's binomial is multiplied in once per prefix
-    rather than once per label.
+    rather than once per label, and the last entry builds each record at once.
 
     Raises ``BudgetExceeded`` before listing anything when the strata
     plus the bits of the divisor rows would cost more than
@@ -124,17 +125,26 @@ def enumerate_strata(ci: CompleteIntersection) -> list[StratumContribution]:
         return out
     top = max(bound for *_, bound in plans)  # no entry of a listed label passes it
     rows = [binomial_row(d, min(d - 1, top)) for d in ci.degrees]
+    tails = [(i,) for i in range(top + 1)]
+    last_row = rows[-1]
     for j, dj, caps, bound in plans:
         g_row = [g_closed(dj, s + l) for s in range(bound + 1)]
         level = [((), 0, 1)]  # (ivec prefix, its sum, its multiplicity)
-        for cap, row in zip(caps, rows):
+        for cap, row in zip(caps[:-1], rows):
             level = [
-                (ivec + (i,), s + i, m * row[i])
+                (ivec + tails[i], s + i, m * row[i])
                 for ivec, s, m in level
                 for i in range(min(cap, bound - s) + 1)
             ]
-        # at index 1 the zero label goes; it is first in product order
-        out += [_stratum((j, ivec, m, g_row[s])) for ivec, s, m in level[l == 0 :]]
+        # the last entry turns each prefix into the records of its labels
+        start = len(out)
+        out += [
+            _stratum((j, ivec + tails[i], m * last_row[i], g_row[s + i]))
+            for ivec, s, m in level
+            for i in range(min(caps[-1], bound - s) + 1)
+        ]
+        if l == 0:  # at index 1 the zero label goes; it is first in product order
+            del out[start]
     return out
 
 
@@ -146,7 +156,7 @@ def k_lg(ci: CompleteIntersection) -> KlgReport:
     components before resolving, adding k - 1.
     """
     contributions = enumerate_strata(ci)
-    total = sum(m * g for _, _, m, g in contributions)
+    total = sum(map(mul, map(itemgetter(2), contributions), map(itemgetter(3), contributions)))
     if ci.l >= 1:
         value = total
         branch: Literal["l_zero", "l_positive"] = "l_positive"
@@ -178,7 +188,10 @@ def k_lg_closed(ci: CompleteIntersection) -> int:
     leaves at most (D + 1)^2 of them per j rather than 3 * 2^(k - 1).  A pin
     that takes P past d_j - 1 - l is dropped at once: its binomial has
     l + P > d_j - 1, and P only grows as entries are added, so the term and
-    every term it spawns vanish.  A j with d_j - 1 - l < 0 adds nothing.  At
+    every term it spawns vanish.  A j with d_j - 1 - l < 0 adds nothing.  The
+    terms of j depend on j only through d_j (swapping two entries of equal
+    degree maps the terms of one onto those of the other), so they are summed
+    once per distinct degree and multiplied by how many equations share it.  At
     index 1 the zero label (1 per j) goes and the k - 1 strict-transform
     components come: a net -1.
 
@@ -189,10 +202,11 @@ def k_lg_closed(ci: CompleteIntersection) -> int:
     l = ci.l
     base = sum(ci.degrees) + 1  # D + 1: every pinned total is at most D
     total = 0
-    for j, dj in enumerate(ci.degrees, 1):
+    for dj in dict.fromkeys(ci.degrees):
         bound = dj - 1 - l  # the largest pinned total whose binomial can be nonzero
         if bound < 0:
             continue
+        j = ci.degrees.index(dj) + 1
         terms = {0: 1}  # D_free * base + P -> signed weight
         for t, d in enumerate(ci.degrees, 1):
             pins = ((d - 1, -d), (d, -1)) if t == j else ((d, -1),)  # (pin, -C(d, pin))
@@ -205,9 +219,11 @@ def k_lg_closed(ci: CompleteIntersection) -> int:
                         break  # the pins ascend
                     merged[key + pin] = merged.get(key + pin, 0) + c * weight
             terms = merged
+        part = 0
         for key, c in terms.items():
             free, pinned = divmod(key, base)
-            total += c * binomial(free + dj - 1, free + l + pinned)
+            part += c * binomial(free + dj - 1, free + l + pinned)
+        total += ci.degrees.count(dj) * part
     return total - 1 if l == 0 else total
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fanolg
-from fanolg import cli
+from fanolg import cli, givental
 from fanolg import (
     BudgetExceeded,
     CompleteIntersection,
@@ -96,7 +96,7 @@ class TestHodge:
 
     @pytest.mark.parametrize("command", ["hodge", "verify"])
     def test_summand_budget_exceeded_is_a_one_line_error(self, capsys, command):
-        code, out, err = run(capsys, command, "--dim", "34", "--degrees", ",".join(["3"] * 17))
+        code, out, err = run(capsys, command, "--dim", "42", "--degrees", ",".join(["3"] * 21))
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and "summands" in err
@@ -205,6 +205,23 @@ class TestPeriods:
         assert payload["first_mismatch"] is None
         assert payload["constant_terms"] == ["1", "0", "12", "0", "540"]
         assert payload["constant_terms"] == payload["closed_form"]
+
+    @pytest.mark.parametrize(
+        "line",
+        ["periods --dim 3 --degrees 3 --order 0", "periods --dim 3 --degrees 3 --order 0 --format json"],
+    )
+    def test_order_zero_builds_no_polynomial(self, capsys, monkeypatch, line):
+        # the constant term of f^0 is 1 whatever f is; the bytes are the
+        # pinned ones, recorded while order 0 still built f
+        def refuse(ci):
+            raise AssertionError("build_fx called at order 0")
+
+        monkeypatch.setattr(givental, "build_fx", refuse)
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = result = run(capsys, *line.split())
+        assert (code, err) == (0, "")
+        assert out.endswith("period condition verified up to order 0\n") or json.loads(out)["match"]
+        assert hashlib.sha256(repr(result).encode()).hexdigest()[:16] == PINNED_OUTPUT[line]
 
     def test_negative_order_rejected(self, capsys):
         code, out, err = run(capsys, "periods", "--dim", "3", "--degrees", "3", "--order", "-1")
@@ -642,6 +659,8 @@ PINNED_OUTPUT = {
     "periods --dim 3 --degrees 3 --order 20": "5c40d3cbb462aa0a",
     "periods --dim 4 --degrees 2,2": "b6ce4f006e6cb527",
     "periods --dim 3 --degrees 3 --order 4 --format json": "3debc530574c806b",
+    "periods --dim 3 --degrees 3 --order 0": "ea4b92084a2d75d6",
+    "periods --dim 3 --degrees 3 --order 0 --format json": "7fb16433be1a7d16",
     "fg --d 3 --s 2": "a5ef0a879d21a35d",
     "fg --d 120 --s 120 --format json": "308a774465767a36",
     "resolve-trace --dbar 3,2 --s 2": "b0a8d8eb0612935c",
@@ -654,7 +673,7 @@ PINNED_OUTPUT = {
     "periods --dim 3 --degrees 3 --order -1": "b7b1d31a7fe495b5",
     "hodge --dim 3": "919c4c5ef7539749",
     # the refusals name k (and the degrees' bit lengths), not the variety
-    "hodge --dim 34 --degrees 3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3": "bb3bf882529ee7d6",
+    "hodge --dim 42 --degrees 3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3": "dc5d5df0f4e967f2",
     "klg --dim 200000 --degrees 200001": "53d67b9cc036fbb2",
     "periods --dim 6 --degrees 7 --order 7": "a151471eb87295a7",
     "fg --d 400 --s 400": "1ac52fc16ae40049",
@@ -830,6 +849,29 @@ class TestEntryPoint:
             "error: the mirror polynomial of 1 equation(s) with degrees of up to 5 bits"
             " would have more than 20,000,000 terms\n"
         )
+
+    def test_periods_to_order_zero_builds_no_polynomial(self):
+        # f would have C(23, 11) + 1 = 1,352,079 terms, and building it took
+        # seconds and hundreds of MB; the constant term of f^0 is 1 regardless
+        script = (
+            "import resource, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
+            "from fanolg.cli import main\n"
+            "start = time.perf_counter()\n"
+            "code = main(['periods', '--dim', '12', '--degrees', '12', '--order', '0'])\n"
+            "print(code, time.perf_counter() - start)\n"
+        )
+        src = str(Path(fanolg.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+        *answer, status = done.stdout.splitlines()
+        code, seconds = status.split()
+        assert (code, done.stderr) == ("0", "")
+        assert float(seconds) < 1
+        assert answer[-1] == "period condition verified up to order 0"
 
     @pytest.mark.parametrize(
         "dim, degrees, expected",

@@ -28,7 +28,7 @@ from fanolg import (
 )
 import fanolg
 from fanolg import jacobian_ring
-from strategies import fano_complete_intersections
+from strategies import fano_complete_intersections, fano_complete_intersections_with_repeats
 
 CUBIC_SURFACE = CompleteIntersection(2, (3,))
 CUBIC_THREEFOLD = CompleteIntersection(3, (3,))
@@ -277,23 +277,39 @@ class TestRingDimensions:
 
 class TestSummandBudget:
     def test_limit_is_exact(self, monkeypatch):
-        # k = 3 cubics at index 1, each with d_j - index = 2: 3 mask loops of
-        # 2^3 summands each
+        # k = 3 cubics at index 1, each with d_j - index = 2: equal degrees
+        # share one mask loop of 2^3 summands
         ci = CompleteIntersection(6, (3, 3, 3))
         expected = sum(delta_j(ci, j) for j in (1, 2, 3))
-        monkeypatch.setattr(jacobian_ring, "MAX_INCLUSION_EXCLUSION_SUMMANDS", 24)
+        monkeypatch.setattr(jacobian_ring, "MAX_INCLUSION_EXCLUSION_SUMMANDS", 8)
         assert dim_R_prime_1(ci) == expected
-        monkeypatch.setattr(jacobian_ring, "MAX_INCLUSION_EXCLUSION_SUMMANDS", 23)
-        with pytest.raises(BudgetExceeded, match="24 summands"):
+        monkeypatch.setattr(jacobian_ring, "MAX_INCLUSION_EXCLUSION_SUMMANDS", 7)
+        with pytest.raises(BudgetExceeded, match="8 summands"):
             dim_R_prime_1(ci)
         with pytest.raises(BudgetExceeded):
             hodge_h1(ci)
 
-    def test_seventeen_equations_are_refused(self):
-        # 17 cubics at index 1 loop: 17 * 2^17 summands, past the default of
-        # 2^20 = 16 * 2^16
-        with pytest.raises(BudgetExceeded, match="2,228,224 summands"):
-            hodge_h1(CompleteIntersection(34, (3,) * 17))
+    def test_each_distinct_degree_is_charged_once(self, monkeypatch):
+        # index 1: the cubics (d_j - index = 2) share one loop and the quartic
+        # (3) runs its own, 2 * 2^3 summands, though three equations loop
+        ci = CompleteIntersection(7, (3, 4, 3))
+        expected = sum(plain_delta_j(ci, j) for j in (1, 2, 3))
+        monkeypatch.setattr(jacobian_ring, "MAX_INCLUSION_EXCLUSION_SUMMANDS", 16)
+        assert dim_R_prime_1(ci) == expected
+        monkeypatch.setattr(jacobian_ring, "MAX_INCLUSION_EXCLUSION_SUMMANDS", 15)
+        with pytest.raises(BudgetExceeded, match="16 summands"):
+            dim_R_prime_1(ci)
+
+    def test_twenty_one_equal_cubics_are_refused(self):
+        # 21 cubics at index 1 share one loop of 2^21 summands, past the
+        # default of 2^20
+        with pytest.raises(BudgetExceeded, match="2,097,152 summands"):
+            hodge_h1(CompleteIntersection(42, (3,) * 21))
+
+    def test_seventeen_equal_cubics_answer(self):
+        # one loop of 2^17 summands, refused while every cubic ran its own
+        ci = CompleteIntersection(34, (3,) * 17)
+        assert dim_R_prime_1(ci) == count_monomials_oracle(ci)
 
     def test_only_the_mask_loops_are_charged(self, monkeypatch):
         # index 1: the quadrics have d_j - index = 1 and answer at once, and
@@ -316,6 +332,29 @@ class TestSummandBudget:
         assert report.dim_R_prime == count_monomials_oracle(ci)
         assert report.h == report.h_pr == count_monomials_oracle(ci) - correction
         assert report.h == k_lg_closed(ci) == (779 if dim == 20 else 0)
+
+
+# repeated degrees in positions that are not adjacent, at index 1 and index 3
+REPEATED_DEGREES = [
+    CompleteIntersection(12, (3, 4, 3, 4, 3)),
+    CompleteIntersection(14, (3, 4, 3, 4, 3)),
+    CompleteIntersection(10, (5, 2, 5, 2)),
+    CompleteIntersection(12, (5, 2, 5, 2)),
+]
+
+
+class TestRepeatedDegrees:
+    """``dim_R_prime_1`` evaluates one ``delta_j`` per distinct degree; the
+    plain mask loop of every equation is the reference."""
+
+    @pytest.mark.parametrize("ci", REPEATED_DEGREES, ids=str)
+    def test_equals_the_sum_over_every_equation(self, ci):
+        assert dim_R_prime_1(ci) == sum(plain_delta_j(ci, j) for j in range(1, ci.k + 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(fano_complete_intersections_with_repeats())
+    def test_property_equals_the_sum_over_every_equation(self, ci):
+        assert dim_R_prime_1(ci) == sum(plain_delta_j(ci, j) for j in range(1, ci.k + 1))
 
 
 class TestAltDimFormula:

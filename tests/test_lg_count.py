@@ -29,7 +29,7 @@ from fanolg import (
     verify_main_theorem,
 )
 from fanolg import lg_count
-from strategies import fano_complete_intersections
+from strategies import fano_complete_intersections, fano_complete_intersections_with_repeats
 
 CUBIC_SURFACE = CompleteIntersection(2, (3,))
 CUBIC_THREEFOLD = CompleteIntersection(3, (3,))
@@ -230,6 +230,25 @@ class TestKlgClosed:
     @settings(max_examples=200, deadline=None)
     @given(fano_complete_intersections())
     def test_property_equals_the_unmerged_terms(self, ci):
+        assert k_lg_closed(ci) == unmerged_k_lg_closed(ci)
+
+    @pytest.mark.parametrize(
+        "ci",
+        [
+            CompleteIntersection(12, (3, 4, 3, 4, 3)),
+            CompleteIntersection(14, (3, 4, 3, 4, 3)),
+            CompleteIntersection(10, (5, 2, 5, 2)),
+            CompleteIntersection(12, (5, 2, 5, 2)),
+        ],
+        ids=str,
+    )
+    def test_non_adjacent_repeated_degrees(self, ci):
+        # one term per distinct degree, against the terms of every j kept apart
+        assert k_lg_closed(ci) == unmerged_k_lg_closed(ci)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fano_complete_intersections_with_repeats())
+    def test_property_repeated_degrees_equal_the_unmerged_terms(self, ci):
         assert k_lg_closed(ci) == unmerged_k_lg_closed(ci)
 
     @pytest.mark.parametrize("k", [16, 17, 20, 40])
