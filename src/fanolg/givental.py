@@ -164,7 +164,9 @@ def _term_orbits(f: LaurentPolynomial) -> dict[tuple[int, ...], int]:
     Variables v and w are interchangeable when swapping them maps f to itself.
     The relation is an equivalence: if the swaps (v w) and (w u) fix f, so does
     their conjugate (v u).  G is generated by such swaps, so it fixes f, every
-    orbit lies in f's support and carries one coefficient.  Terms are grouped
+    orbit lies in f's support and carries one coefficient.  The swap of v with
+    the first member w < v of a class fixes every term with e[v] = e[w]; each
+    other term is looked up with those two entries exchanged.  Terms are grouped
     by their exponents sorted within each class; the first one seen stands for
     its orbit.  Only f's terms are read, nothing of how f was built.
     """
@@ -172,9 +174,11 @@ def _term_orbits(f: LaurentPolynomial) -> dict[tuple[int, ...], int]:
     classes: list[list[int]] = []
     for v in range(f.arity):
         for cls in classes:
-            swap = list(range(f.arity))
-            swap[v], swap[cls[0]] = cls[0], v
-            if all(terms.get(tuple(e[u] for u in swap)) == c for e, c in terms.items()):
+            w = cls[0]
+            if all(
+                e[v] == e[w] or terms.get((*e[:w], e[v], *e[w + 1 : v], e[w], *e[v + 1 :])) == c
+                for e, c in terms.items()
+            ):
                 cls.append(v)
                 break
         else:
@@ -328,14 +332,18 @@ def _constant_terms(f: LaurentPolynomial, order: int) -> list[int]:
     return out
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+
+
 def phi_series(f: LaurentPolynomial, order: int) -> PowerSeries:
     """Constant-term series of f up to the given truncation order.
 
     Raises ``BudgetExceeded`` when the expansion would form more than
     ``MAX_TERM_PRODUCTS`` term products.
     """
-    if order < 0:
-        raise ValueError(f"truncation order must be >= 0, got {order}")
+    _check_order(order)
     return PowerSeries(tuple(_constant_terms(f, order)))
 
 
@@ -348,8 +356,7 @@ def i_series(ci: CompleteIntersection, order: int) -> PowerSeries:
     coefficient vanishes.  ``alpha`` is the product of the degree factorials at
     index 1, zero otherwise.
     """
-    if order < 0:
-        raise ValueError(f"truncation order must be >= 0, got {order}")
+    _check_order(order)
     idx = ci.index
     coefficients = [0] * (order + 1)
     exponents_per_step = ci.dim + ci.k + 1
@@ -381,8 +388,9 @@ def verify_period(ci: CompleteIntersection, order: int) -> PeriodReport:
     Exact equality is required; on failure the first differing index is
     reported.  The expansion is bounded by ``MAX_TERM_PRODUCTS`` term products
     (see ``phi_series``).  At order 0 the mirror polynomial is not built: the
-    constant term of f^0 is 1 whatever f is.
+    constant term of f^0 is 1 whatever f is; a negative order is refused first.
     """
+    _check_order(order)
     phi = PowerSeries((1,)) if order == 0 else phi_series(build_fx(ci), order)
     closed = i_series(ci, order)
     mismatch = _first_mismatch(phi.coefficients, closed.coefficients)

@@ -180,13 +180,8 @@ def hodge_h1(ci: CompleteIntersection) -> HodgeReport:
 
 def hypersurface_corollary(dim: int, d: int) -> int:
     """Primitive h^{1, dim-1} of a degree-d hypersurface: C(2d - 1, dim + 1) for
-    d <= dim, and C(2*dim + 1, dim + 1) - dim - 2 in the index-1 case d = dim + 1."""
-    if dim < 2:
-        raise ValueError(f"dimension must be >= 2, got {dim}")
-    if not 2 <= d <= dim + 1:
-        raise ValueError(
-            f"degree must lie in [2, dim + 1] = [2, {dim + 1}] (Fano, nonlinear), got {d}"
-        )
-    if d <= dim:
+    d <= dim, and C(2*dim + 1, dim + 1) - dim - 2 in the index-1 case d = dim + 1.
+    Out of that range ``CompleteIntersection(dim, (d,))`` raises its own error."""
+    if CompleteIntersection(dim, (d,)).index > 1:
         return binomial(2 * d - 1, dim + 1)
     return binomial(2 * dim + 1, dim + 1) - dim - 2

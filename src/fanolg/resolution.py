@@ -57,14 +57,19 @@ def fg_rec(d: int, s: int) -> tuple[int, int]:
     ``_f_states``); ``BudgetExceeded`` is raised when the recursion would add
     more than ``MAX_RECURSION_SUMMANDS`` summands, at once past d = 500,000.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
+    _check_fg_arguments(d, s)
     if s == 0:
         return 1, 1
     levels = _f_states(d, s)
     return levels[d][s], levels[d - s][s] if s < d else 0
+
+
+def _check_fg_arguments(d: int, s: int) -> None:
+    """The domain of F and G, for the recursion and the closed forms alike."""
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if s < 0:
+        raise ValueError(f"s must be >= 0, got {s}")
 
 
 def _f_states(d: int, s: int) -> list[dict[int, int]]:
@@ -138,19 +143,13 @@ def _summand_limit(d: int, s: int) -> BudgetExceeded:
 
 def g_closed(d: int, s: int) -> int:
     """Closed form of G, which ``fg_rec`` evaluates by recursion: C(d - 1, s)."""
-    if d < 1:
-        raise ValueError(f"g_closed requires d >= 1, got d={d}")
-    if s < 0:
-        raise ValueError(f"g_closed requires s >= 0, got s={s}")
+    _check_fg_arguments(d, s)
     return binomial(d - 1, s)
 
 
 def f_closed(d: int, s: int) -> int:
     """Closed form of F, which ``fg_rec`` evaluates by recursion: C(d + s - 1, s)."""
-    if d < 1:
-        raise ValueError(f"f_closed requires d >= 1, got d={d}")
-    if s < 0:
-        raise ValueError(f"f_closed requires s >= 0, got s={s}")
+    _check_fg_arguments(d, s)
     return binomial(d + s - 1, s)
 
 

@@ -873,6 +873,29 @@ class TestEntryPoint:
         assert float(seconds) < 1
         assert answer[-1] == "period condition verified up to order 0"
 
+    def test_periods_at_high_arity(self):
+        # 1,000 variables, 999 of them interchangeable: the orbit search once
+        # rebuilt every term through a full permutation per swap, about a minute
+        script = (
+            "import resource, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
+            "from fanolg.cli import main\n"
+            "start = time.perf_counter()\n"
+            "code = main(['periods', '--dim', '1000', '--degrees', '2', '--order', '1'])\n"
+            "print(code, time.perf_counter() - start)\n"
+        )
+        src = str(Path(fanolg.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+        *answer, status = done.stdout.splitlines()
+        code, seconds = status.split()
+        assert (code, done.stderr) == ("0", "")
+        assert float(seconds) < 5
+        assert answer[-1] == "period condition verified up to order 1"
+
     @pytest.mark.parametrize(
         "dim, degrees, expected",
         [

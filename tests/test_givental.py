@@ -54,6 +54,31 @@ def unpruned_powers(f, order):
     return powers
 
 
+def plain_term_orbits(f):
+    """``_term_orbits`` with every swap test done by a full permutation of the
+    variables, each term rebuilt through it: the oracle for the search that
+    reads only the two entries a swap moves."""
+    terms = f.terms
+    classes = []
+    for v in range(f.arity):
+        for cls in classes:
+            swap = list(range(f.arity))
+            swap[v], swap[cls[0]] = cls[0], v
+            if all(terms.get(tuple(e[u] for u in swap)) == c for e, c in terms.items()):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    representative = {}
+    weights = {}
+    for e in terms:
+        rep = representative.setdefault(
+            tuple(x for cls in classes for x in sorted(e[v] for v in cls)), e
+        )
+        weights[rep] = weights.get(rep, 0) + 1
+    return weights
+
+
 @st.composite
 def laurent_polynomials(draw):
     arity = draw(st.integers(1, 5))
@@ -78,10 +103,10 @@ def symmetrized(f, classes):
 
 
 @st.composite
-def symmetric_laurent_polynomials(draw):
+def symmetric_laurent_polynomials(draw, max_arity=3):
     """A random Laurent polynomial symmetrized over a random partition of its
     variables."""
-    arity = draw(st.integers(1, 3))
+    arity = draw(st.integers(1, max_arity))
     labels = draw(st.lists(st.integers(0, arity - 1), min_size=arity, max_size=arity))
     classes = [[v for v in range(arity) if labels[v] == c] for c in sorted(set(labels))]
     exponents = st.tuples(*[st.integers(-1, 2)] * arity)
@@ -359,6 +384,16 @@ class TestTermOrbits:
         assert sum(weights.values()) == len(f.terms)
         assert all(e in f.terms for e in weights)
 
+    def test_equals_the_permutation_search_on_a_sweep(self):
+        for ci in fano_sweep(8, 3, 9):
+            f = build_fx(ci)
+            assert list(_term_orbits(f).items()) == list(plain_term_orbits(f).items()), ci
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_laurent_polynomials(max_arity=5))
+    def test_property_equals_the_permutation_search(self, f):
+        assert list(_term_orbits(f).items()) == list(plain_term_orbits(f).items())
+
 
 class TestPhiSeries:
     def test_order_zero(self):
@@ -442,6 +477,24 @@ class TestVerifyPeriod:
         report = verify_period(ci, 40)
         assert report.match
         assert report.phi.coefficients == i_series(ci, 40).coefficients
+
+    def test_negative_order_refused_before_f_is_built(self, monkeypatch):
+        # f would have C(23, 11) + 1 = 1,352,079 terms, seconds and hundreds of MB
+        def build_fx(ci):
+            raise AssertionError("build_fx called at a negative order")
+
+        monkeypatch.setattr(givental, "build_fx", build_fx)
+        with pytest.raises(ValueError, match=r"^order must be nonnegative, got -1$"):
+            verify_period(CompleteIntersection(12, (12,)), -1)
+
+    @pytest.mark.parametrize(
+        "series, argument",
+        [(phi_series, build_fx(CUBIC_SURFACE)), (i_series, CUBIC_SURFACE)],
+        ids=["phi_series", "i_series"],
+    )
+    def test_every_series_refuses_a_negative_order_alike(self, series, argument):
+        with pytest.raises(ValueError, match=r"^order must be nonnegative, got -1$"):
+            series(argument, -1)
 
     def test_first_mismatch_helper(self):
         assert _first_mismatch((1, 2, 3), (1, 2, 3)) is None

@@ -3,6 +3,7 @@ inclusion-exclusion and the capped-head count, of which the nested binomial
 sum is the same sum."""
 
 import ast
+import re
 from itertools import combinations_with_replacement, product
 from math import comb
 from pathlib import Path
@@ -417,6 +418,13 @@ class TestHypersurfaceCorollary:
             hypersurface_corollary(3, 5)
         with pytest.raises(ValueError):
             hypersurface_corollary(3, 1)
+
+    @pytest.mark.parametrize("dim, d", [(1, 2), (3, 1), (3, 5)])
+    def test_refusals_are_the_varietys_own(self, dim, d):
+        with pytest.raises(ValueError) as refusal:
+            CompleteIntersection(dim, (d,))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refusal.value))}$"):
+            hypersurface_corollary(dim, d)
 
     def test_matches_general_formula(self):
         for dim in range(2, 9):

@@ -237,6 +237,14 @@ class TestCountingFunctions:
         with pytest.raises(ValueError, match=r"^s must be >= 0, got -1$"):
             fg_rec(3, -1)
 
+    @pytest.mark.parametrize("function", [fg_rec, f_closed, g_closed])
+    @pytest.mark.parametrize(
+        "d, s, message", [(0, 1, r"^d must be >= 1, got 0$"), (3, -1, r"^s must be >= 0, got -1$")]
+    )
+    def test_recursion_and_closed_forms_refuse_alike(self, function, d, s, message):
+        with pytest.raises(ValueError, match=message):
+            function(d, s)
+
 
 class TestChartChildren:
     def test_large_exponent_case(self):
