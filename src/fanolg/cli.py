@@ -424,7 +424,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except Exception as exc:  # the last boundary: a one-line error, never a traceback
         message = " ".join(str(exc).split())
-        print(f"error: internal error ({type(exc).__name__}): {message}", file=sys.stderr)
+        detail = f": {message}" if message else ""
+        print(f"error: internal error ({type(exc).__name__}){detail}", file=sys.stderr)
         return 4
     try:
         print(text)

@@ -195,9 +195,9 @@ def k_lg_closed(ci: CompleteIntersection) -> int:
     index 1 the zero label (1 per j) goes and the k - 1 strict-transform
     components come: a net -1.
 
-    It shares no code with ``delta_j``, whose binomials are
-    C(sum_I d + d_j - 1, dim + k), nor with the stratum listing, so
-    ``k_lg_closed == dim_R_1`` is the paper's identity, not a tautology.
+    It shares only ``binomial`` with ``delta_j``, whose binomials are
+    C(sum_I d + d_j - 1, dim + k), and with the stratum listing, as
+    ``tests/test_routes.py`` checks: ``k_lg_closed == dim_R_1`` is no tautology.
     """
     l = ci.l
     base = sum(ci.degrees) + 1  # D + 1: every pinned total is at most D
@@ -230,11 +230,11 @@ def k_lg_closed(ci: CompleteIntersection) -> int:
 def verify_main_theorem(ci: CompleteIntersection) -> TheoremReport:
     """Compare the Hodge number with the central-fiber count.
 
-    The two sides are computed along fully separate routes (ring dimension vs
-    stratum enumeration), and the one check is h_pr = k_lg.  The paper's form,
-    h = k_lg for dim > 2 and h = k_lg + 1 for dim = 2, follows from it and is
-    not a second check: ``hodge_h1`` sets h = h_pr + 1 at dim 2 and h = h_pr
-    otherwise.
+    The two sides are computed along separate routes (ring dimension vs
+    stratum enumeration) that share only ``binomial``, and the one check is
+    h_pr = k_lg.  The paper's form, h = k_lg for dim > 2 and h = k_lg + 1 for
+    dim = 2, follows from it and is not a second check: ``hodge_h1`` sets
+    h = h_pr + 1 at dim 2 and h = h_pr otherwise.
     """
     hodge = hodge_h1(ci)
     count = k_lg(ci).k_lg

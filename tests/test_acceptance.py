@@ -13,23 +13,17 @@ from math import comb
 from fanolg import (
     ChartType,
     CompleteIntersection,
-    alt_dim_formula,
     convolution_identity_sides,
-    count_monomials_oracle,
-    dim_R_1,
-    dim_R_prime_1,
     f_closed,
     fano_sweep,
     fg_rec,
     g_closed,
-    hodge_h1,
     hypersurface_corollary,
-    k_lg,
-    k_lg_closed,
     resolution_trace,
     verify_main_theorem,
     verify_period,
 )
+from routes import RING, agreed
 
 
 class Criterion:
@@ -100,23 +94,18 @@ def test_criterion_5_main_theorem_sweep():
         count = 0
         for ci in fano_sweep(8, 3, 6):
             count += 1
-            assert hodge_h1(ci).h_pr == k_lg(ci).k_lg, ci
-            # k_lg_closed sums the strata in closed form (Vandermonde and
-            # inclusion-exclusion on the box caps), sharing no code with the
-            # stratum listing inside k_lg nor with dim_R_1: a second check
-            assert k_lg(ci).k_lg == k_lg_closed(ci), ci
+            agreed(ci)  # h_pr = k_LG by every route of the table
         assert count > 100  # the sweep must actually cover the range
 
 
 def test_criterion_6_hodge_oracle_equivalence():
     with Criterion("criterion 6: ring dimension oracle equivalence", 120.0):
         for ci in fano_sweep(8, 3, 6):
-            assert count_monomials_oracle(ci) == dim_R_prime_1(ci), ci
-            assert alt_dim_formula(ci) == dim_R_1(ci), ci
+            agreed(ci, RING)
         for dim in range(2, 9):
             for d in range(2, dim + 2):
                 ci = CompleteIntersection(dim, (d,))
-                assert hypersurface_corollary(dim, d) == hodge_h1(ci).h_pr, (dim, d)
+                assert hypersurface_corollary(dim, d) == agreed(ci, RING), (dim, d)
         assert hypersurface_corollary(3, 4) == 30
 
 

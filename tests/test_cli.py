@@ -19,17 +19,17 @@ from fanolg import cli, givental
 from fanolg import (
     BudgetExceeded,
     CompleteIntersection,
-    count_monomials_oracle,
     f_closed,
     fg_rec,
     g_closed,
     hodge_h1,
+    i_series,
     k_lg,
-    k_lg_closed,
     verify_main_theorem,
     verify_period,
 )
 from fanolg.cli import _render_json, main
+from routes import RING, agreed
 
 
 def run(capsys, *argv):
@@ -105,9 +105,8 @@ class TestHodge:
     @pytest.mark.parametrize("dim", [20, 30])
     def test_any_number_of_quadrics_answers(self, capsys, dim):
         # no quadric runs a mask loop, so twenty of them are charged nothing
-        ci = CompleteIntersection(dim, (2,) * 20)
-        h = count_monomials_oracle(ci) - (ci.dim + ci.k + 1 if ci.index == 1 else 0)
-        assert h == k_lg_closed(ci) == (779 if dim == 20 else 0)
+        h = agreed(CompleteIntersection(dim, (2,) * 20))
+        assert h == (779 if dim == 20 else 0)
         flags = ("--dim", str(dim), "--degrees", ",".join(["2"] * 20), "--format", "json")
         code, out, err = run(capsys, "hodge", *flags)
         assert (code, err) == (0, "")
@@ -222,6 +221,23 @@ class TestPeriods:
         assert (code, err) == (0, "")
         assert out.endswith("period condition verified up to order 0\n") or json.loads(out)["match"]
         assert hashlib.sha256(repr(result).encode()).hexdigest()[:16] == PINNED_OUTPUT[line]
+
+    def test_a_mismatch_exits_1_and_names_its_order(self, capsys, monkeypatch):
+        def off_at_two(ci, order):
+            closed = i_series(ci, order)
+            wrong = list(closed.coefficients)
+            wrong[2] += 1
+            return dataclasses.replace(closed, coefficients=tuple(wrong))
+
+        monkeypatch.setattr(givental, "i_series", off_at_two)
+        flags = ("periods", "--dim", "3", "--degrees", "3", "--order", "4")
+        code, out, err = run(capsys, *flags)
+        assert (code, err) == (1, "")
+        assert out.splitlines()[-1] == "MISMATCH at order 2"
+        code, out, err = run(capsys, *flags, "--format", "json")
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert (payload["match"], payload["first_mismatch"]) == (False, "2")
 
     def test_negative_order_rejected(self, capsys):
         code, out, err = run(capsys, "periods", "--dim", "3", "--degrees", "3", "--order", "-1")
@@ -481,15 +497,23 @@ class TestJsonRoundTrip:
 
 
 class TestUnexpectedErrors:
-    def test_any_other_exception_is_a_one_line_error(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (RuntimeError("injected\nacross lines"), "RuntimeError): injected across lines"),
+            (MemoryError(), "MemoryError)"),  # no message, so no colon after the type
+        ],
+        ids=["RuntimeError", "MemoryError"],
+    )
+    def test_any_other_exception_is_a_one_line_error(self, capsys, monkeypatch, exc, line):
         def crash(ci):
-            raise RuntimeError("injected\nacross lines")
+            raise exc
 
         monkeypatch.setattr("fanolg.cli.hodge_h1", crash)
         code, out, err = run(capsys, "hodge", "--dim", "3", "--degrees", "3")
         assert code == 4
         assert out == ""
-        assert err == "error: internal error (RuntimeError): injected across lines\n"
+        assert err == f"error: internal error ({line}\n"
 
 
 class TestWholeAnswers:
@@ -796,8 +820,8 @@ class TestEntryPoint:
         code, seconds = status.split()
         assert (code, done.stderr) == ("0", "")
         assert float(seconds) < 1
-        ci = CompleteIntersection(200, (2,) * 200)  # index 1: dim + k + 1 = 401 relations
-        assert json.loads("\n".join(answer))["h"] == str(count_monomials_oracle(ci) - 401)
+        ci = CompleteIntersection(200, (2,) * 200)
+        assert json.loads("\n".join(answer))["h"] == str(agreed(ci, RING))
 
     def test_sweep_stops_k_at_the_dimension(self):
         # k degrees of at least 2 need k <= dim, so a million equations list

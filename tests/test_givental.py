@@ -123,6 +123,10 @@ class TestLaurentPolynomial:
         with pytest.raises(ValueError):
             LaurentPolynomial(2, {(1,): 1})
 
+    def test_zero_arity_rejected(self):
+        with pytest.raises(ValueError, match="^arity must be positive, got 0$"):
+            LaurentPolynomial(0)
+
     def test_multiplication_by_hand(self):
         # (x - 1/x)^2 = x^2 - 2 + 1/x^2
         f = LaurentPolynomial(1, {(1,): 1, (-1,): -1})
