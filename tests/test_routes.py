@@ -7,6 +7,8 @@ from functools import cache
 from itertools import combinations
 from pathlib import Path
 
+import pytest
+
 import fanolg
 from routes import COMMON, ROUTES
 
@@ -31,6 +33,7 @@ def module_names(module):
     return names
 
 
+@cache
 def reach(route):
     """Every ``module.name`` of ``fanolg`` the route's ``src`` references,
     directly or through the names those reference, annotations included; the
@@ -51,12 +54,19 @@ def reach(route):
     return seen
 
 
-def test_routes_share_exactly_the_declared_helpers():
-    reaches = {route.name: reach(route) for route in ROUTES}
-    pairs = list(combinations(ROUTES, 2))
-    assert {(a.name, b.name): reaches[a.name] & reaches[b.name] for a, b in pairs} == {
-        (a.name, b.name): a.shares & b.shares for a, b in pairs
-    }
-    for route in ROUTES:
-        others = set().union(*(reaches[o.name] for o in ROUTES if o is not route))
-        assert route.shares == reaches[route.name] & others, route.name
+def slug(route):
+    return route.name.replace(" ", "-")
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [pytest.param(a, b, id=f"{slug(a)}+{slug(b)}") for a, b in combinations(ROUTES, 2)],
+)
+def test_routes_share_exactly_the_declared_helpers(a, b):
+    assert reach(a) & reach(b) == a.shares & b.shares
+
+
+@pytest.mark.parametrize("route", ROUTES, ids=slug)
+def test_each_declared_helper_is_shared_with_another_route(route):
+    others = set().union(*(reach(o) for o in ROUTES if o is not route))
+    assert route.shares == reach(route) & others
