@@ -27,7 +27,6 @@ from .jacobian_ring import (
     dim_R_prime_1,
     hodge_h1,
     hypersurface_corollary,
-    poly_space_dim,
 )
 from .lg_count import (
     KlgReport,
@@ -60,7 +59,6 @@ __all__ = [
     "BudgetExceeded",
     "binomial",
     "convolution_identity_sides",
-    "poly_space_dim",
     "delta_j",
     "dim_R_prime_1",
     "count_monomials_oracle",

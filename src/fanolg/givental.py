@@ -258,8 +258,6 @@ def _constant_terms(f: LaurentPolynomial, order: int) -> list[int]:
     work is done, if the total would pass ``MAX_TERM_PRODUCTS``.
     """
     out = [1]
-    if order == 0:
-        return out
     if not f.terms:
         return out + [0] * order
     arity = f.arity

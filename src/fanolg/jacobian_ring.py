@@ -41,16 +41,6 @@ class HodgeReport:
     index: int
 
 
-def poly_space_dim(d: int, m: int) -> int:
-    """Dimension of the space of homogeneous polynomials of degree d in m
-    variables, i.e. C(d + m - 1, m - 1); zero for negative d."""
-    if m <= 0:
-        raise ValueError(f"poly_space_dim requires m >= 1, got m={m}")
-    if d < 0:
-        return 0
-    return binomial(d + m - 1, m - 1)
-
-
 def delta_j(ci: CompleteIntersection, j: int) -> int:
     """Number of monomials of degree d_j - index in the dim + k + 1 ambient
     variables whose first k exponents stay below d_1, ..., d_k respectively.
@@ -126,7 +116,7 @@ def count_monomials_oracle(ci: CompleteIntersection) -> int:
     total = 0
     for target in targets:
         for s in range(target + 1):
-            total += heads[s] * poly_space_dim(target - s, ci.dim + 1)
+            total += heads[s] * binomial(target - s + ci.dim, ci.dim)
     return total
 
 
@@ -155,7 +145,7 @@ def alt_dim_formula(ci: CompleteIntersection) -> int:
     d_j >= d_t + index, so extending the range would overcount.
 
     With D = sum_t d_t and index = dim + k + 1 - D, the binomial is
-    C(D - |i| + d_j - k - 1, dim) = poly_space_dim(d_j - index - |i|, dim + 1),
+    C(D - |i| + d_j - k - 1, dim) = C(d_j - index - |i| + dim, dim),
     and it vanishes once |i| > d_j - index.  That is the summand of
     ``count_monomials_oracle`` for a head of total |i|, with the same caps and
     the same bound, so the sum is evaluated as the oracle minus the index-1

@@ -3,18 +3,15 @@
 import dataclasses
 import hashlib
 import json
-import os
 import re
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fanolg
 from fanolg import cli, givental
 from fanolg import (
     BudgetExceeded,
@@ -29,6 +26,7 @@ from fanolg import (
     verify_period,
 )
 from fanolg.cli import _render_json, main
+import fresh
 from routes import RING, agreed
 
 
@@ -65,21 +63,6 @@ class TestVerify:
 
 
 class TestHodge:
-    def test_invalid_not_fano(self, capsys):
-        code, out, err = run(capsys, "hodge", "--dim", "3", "--degrees", "5")
-        assert code == 2 and out == ""
-        assert "not Fano" in err
-
-    def test_invalid_degree_one(self, capsys):
-        code, out, err = run(capsys, "hodge", "--dim", "3", "--degrees", "1,2")
-        assert code == 2 and out == ""
-        assert "degree" in err
-
-    def test_invalid_degree_syntax(self, capsys):
-        code, out, err = run(capsys, "hodge", "--dim", "3", "--degrees", "3,x")
-        assert code == 2 and out == ""
-        assert "comma-separated" in err
-
     @pytest.mark.parametrize("dim", [12, 20, 1001])
     def test_colons_share_one_column(self, capsys, dim):
         # from dim 11 on, the h-labels outgrow "complete intersection"
@@ -88,19 +71,6 @@ class TestHodge:
         lines = out.splitlines()
         assert len(lines) == 6
         assert len({line.index(":") for line in lines}) == 1
-
-    def test_small_dimension(self, capsys):
-        code, out, err = run(capsys, "hodge", "--dim", "1", "--degrees", "2")
-        assert code == 2 and out == ""
-        assert "dimension" in err
-
-    @pytest.mark.parametrize("command", ["hodge", "verify"])
-    def test_summand_budget_exceeded_is_a_one_line_error(self, capsys, command):
-        code, out, err = run(capsys, command, "--dim", "42", "--degrees", ",".join(["3"] * 21))
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error:") and "summands" in err
-        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("dim", [20, 30])
     def test_any_number_of_quadrics_answers(self, capsys, dim):
@@ -116,16 +86,6 @@ class TestHodge:
         payload = json.loads(out)
         assert payload["holds"] is True
         assert {payload[key] for key in ("h", "h_pr", "k_lg")} == {str(h)}
-
-    @pytest.mark.parametrize("command", ["hodge", "verify"])
-    def test_binomial_too_large_to_form_is_a_one_line_error(self, capsys, command):
-        # index 2, so delta_j needs C(n, k) with k of about 14,000 bits
-        nines = "9" * 4300
-        code, out, err = run(capsys, command, "--dim", nines, "--degrees", nines)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: the binomial C(n, k) with n of 14,286 bits")
-        assert err.count("\n") == 1
 
     def test_json_values_are_decimal_strings(self, capsys):
         code, out, _ = run(capsys, "hodge", "--dim", "3", "--degrees", "3", "--format", "json")
@@ -154,32 +114,6 @@ class TestKlg:
         assert payload["contributions"] == [
             {"j": "1", "ivec": ["1"], "multiplicity": "3", "divisors": "2"}
         ]
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("verify", "--dim", "153", "--degrees", ",".join(["20"] * 8)),
-            ("klg", "--dim", "200000", "--degrees", "200001"),
-        ],
-    )
-    def test_strata_budget_exceeded_is_a_one_line_error(self, capsys, argv):
-        # 12,498,200 strata; a hypersurface whose divisors reach 200,000 bits
-        start = time.perf_counter()
-        code, out, err = run(capsys, *argv)
-        assert time.perf_counter() - start < 1
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: the strata of") and err.count("\n") == 1
-
-    def test_strata_refusal_of_a_huge_input_is_short(self, capsys):
-        # the message gives k and bit lengths, not the 4,300-digit numbers
-        nines = "9" * 4300
-        code, out, err = run(capsys, "klg", "--dim", nines, "--degrees", nines)
-        assert (code, out) == (3, "")
-        assert err.startswith(
-            "error: the strata of 1 equation(s) with degrees of up to 14,285 bits"
-        )
-        assert err.count("\n") == 1 and len(err) < 200
 
     def test_json_without_strata_flag_omits_breakdown(self, capsys):
         code, out, _ = run(capsys, "klg", "--dim", "2", "--degrees", "3", "--format", "json")
@@ -239,18 +173,6 @@ class TestPeriods:
         payload = json.loads(out)
         assert (payload["match"], payload["first_mismatch"]) == (False, "2")
 
-    def test_negative_order_rejected(self, capsys):
-        code, out, err = run(capsys, "periods", "--dim", "3", "--degrees", "3", "--order", "-1")
-        assert code == 2 and out == ""
-        assert "order" in err
-
-    def test_work_budget_exceeded_is_a_one_line_error(self, capsys):
-        code, out, err = run(capsys, "periods", "--dim", "6", "--degrees", "7", "--order", "7")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "term products" in err and "Traceback" not in err
-
 
 class TestFg:
     def test_deep_recursion_answers(self, capsys):
@@ -258,21 +180,6 @@ class TestFg:
         assert code == 0
         assert "F(3000,1): recursion 3000, closed form 3000" in out
         assert "G(3000,1): recursion 2999, closed form 2999" in out
-
-    def test_recursion_budget_exceeded_is_a_one_line_error(self, capsys):
-        code, out, err = run(capsys, "fg", "--d", "400", "--s", "400")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "summands" in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("d", ["500001", "1000000000"])
-    def test_huge_d_is_a_one_line_error(self, capsys, d):
-        code, out, err = run(capsys, "fg", "--d", d, "--s", "1")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "summands" in err and "Traceback" not in err
 
     def test_huge_s_answers(self, capsys):
         code, out, _ = run(capsys, "fg", "--d", "10", "--s", "100000000", "--format", "json")
@@ -294,11 +201,6 @@ class TestFg:
         assert payload["f_recursion"] == payload["f_closed"] == "5"
         assert payload["g_recursion"] == payload["g_closed"] == "4"
         assert payload["agree"] is True
-
-    def test_invalid_d(self, capsys):
-        code, out, err = run(capsys, "fg", "--d", "0", "--s", "2")
-        assert code == 2 and out == ""
-        assert "d must be" in err
 
 
 class TestResolveTrace:
@@ -324,23 +226,6 @@ class TestResolveTrace:
         assert out.startswith("digraph resolution_trace {")
         assert "->" in out
 
-    def test_node_limit_exceeded_is_a_failure(self, capsys):
-        code, out, err = run(
-            capsys, "resolve-trace", "--dbar", "6,6", "--s", "4", "--node-limit", "10"
-        )
-        assert code == 3 and out == ""
-        assert "exceeded" in err
-
-    def test_node_limit_counts_tree_nodes(self, capsys):
-        # 679 distinct charts, but 7,231 tree nodes: a budget of 900 must not suffice
-        code, out, err = run(
-            capsys, "resolve-trace", "--dbar", "6,6,6", "--s", "6", "--node-limit", "900"
-        )
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "exceeded 900 nodes" in err and "Traceback" not in err
-
     def test_node_limit_is_exact(self, capsys):
         argv = ("resolve-trace", "--dbar", "6,6,6", "--s", "6", "--node-limit")
         code, out, _ = run(capsys, *argv, "7231")
@@ -349,22 +234,6 @@ class TestResolveTrace:
         code, out, err = run(capsys, *argv, "7230")
         assert code == 3
         assert out == "" and "exceeded 7230 nodes" in err
-
-    @pytest.mark.parametrize(
-        "dbar, s, reason",
-        [("12,12,12", "12", "exceeded 1000000 nodes"), ("99999", "99999", "cells")],
-    )
-    def test_large_chart_is_rejected_early(self, capsys, dbar, s, reason):
-        code, out, err = run(capsys, "resolve-trace", "--dbar", dbar, "--s", s)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert reason in err and "Traceback" not in err
-
-    def test_invalid_chart(self, capsys):
-        code, out, err = run(capsys, "resolve-trace", "--dbar", "0,2", "--s", "1")
-        assert code == 2 and out == ""
-        assert "positive" in err
 
 
 class TestSweep:
@@ -392,16 +261,6 @@ class TestSweep:
         assert code == 0
         rows = out.strip().splitlines()[1:]
         assert rows and all(row.endswith(",true") for row in rows)
-
-    @pytest.mark.parametrize(
-        "flag, value", [("--max-dim", "1"), ("--max-k", "0"), ("--max-degree", "1")]
-    )
-    def test_a_bound_that_admits_no_variety_is_invalid(self, capsys, flag, value):
-        # dim >= 2, k >= 1 and degree >= 2: else the CSV would be a bare header
-        code, out, err = run(capsys, "sweep", flag, value)
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: {flag} {value} admits no variety")
-        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_a_failing_row_exits_1_with_the_whole_csv(self, capsys, monkeypatch):
         calls = []
@@ -534,27 +393,6 @@ class TestWholeAnswers:
         assert (code, out) == (4, "")
         assert sys.get_int_max_str_digits() == before
 
-    @pytest.mark.parametrize(
-        "flags, reason",
-        [
-            (("--dim", "9" * 5000, "--degrees", "3"), "invalid int value"),
-            (("--dim", "3", "--degrees", "9" * 5000), "comma-separated"),
-        ],
-    )
-    def test_input_past_the_digit_limit_is_invalid(self, capsys, flags, reason):
-        code, out, err = run(capsys, "hodge", *flags)
-        assert code == 2 and out == ""
-        assert reason in err.splitlines()[-1]
-
-    def test_error_message_past_the_digit_limit_prints_whole(self, capsys):
-        # each degree has 4,300 digits, their sum 4,301
-        before = sys.get_int_max_str_digits()
-        nines = "9" * 4300
-        code, out, err = run(capsys, "hodge", "--dim", "3", "--degrees", f"{nines},{nines}")
-        assert (code, out) == (2, "")
-        assert err == f"error: not Fano: total degree 1{nines[:-1]}8 exceeds dim + k = 5\n"
-        assert sys.get_int_max_str_digits() == before
-
     def test_sweep_is_all_or_nothing(self, capsys, monkeypatch):
         calls = []
 
@@ -568,18 +406,6 @@ class TestWholeAnswers:
         code, out, err = run(capsys, "sweep", "--max-dim", "4", "--max-k", "2", "--max-degree", "3")
         assert len(calls) == 3
         assert (code, out, err) == (3, "", "error: injected\n")
-
-
-class TestArgumentErrors:
-    def test_unknown_command(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
-
-    def test_missing_required_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["hodge", "--dim", "3"])
-        assert exc.value.code == 2
 
 
 def _stringify(obj):
@@ -669,7 +495,7 @@ class TestOneSubparser:
 
 # (exit, stdout, stderr) of each command line with COLUMNS=80, as the first 16
 # hex digits of the sha256 of its repr, recorded before the commands returned
-# payloads for one renderer
+# payloads for one renderer; the refused lines are rows of refusals.py
 PINNED_OUTPUT = {
     "hodge --dim 3 --degrees 3": "e5057ed5db91cc38",
     "hodge --dim 12 --degrees 2,3": "e2208823ddbc20de",
@@ -690,22 +516,8 @@ PINNED_OUTPUT = {
     "resolve-trace --dbar 3,2 --s 2": "b0a8d8eb0612935c",
     "resolve-trace --dbar 3,2 --s 2 --format dot": "f05512fd7917511d",
     "sweep --max-dim 4 --max-k 2 --max-degree 3": "241e7991a0f9fe26",
-    "hodge --dim 3 --degrees 3,x": "cce1a798794e583e",
-    "verify --dim 3 --degrees 5": "0a50b3e0a0ec924a",
-    "fg --d 0 --s 2": "dc594818786a7a06",
-    "fg --d 3 --s -1": "593357bcfee6ce63",
-    "periods --dim 3 --degrees 3 --order -1": "b7b1d31a7fe495b5",
-    "hodge --dim 3": "919c4c5ef7539749",
-    # the refusals name k (and the degrees' bit lengths), not the variety
-    "hodge --dim 42 --degrees 3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3": "dc5d5df0f4e967f2",
-    "klg --dim 200000 --degrees 200001": "53d67b9cc036fbb2",
-    "periods --dim 6 --degrees 7 --order 7": "a151471eb87295a7",
-    "fg --d 400 --s 400": "1ac52fc16ae40049",
-    "resolve-trace --dbar 6,6 --s 4 --node-limit 10": "16ca3844ef8b20fa",
     "resolve-trace --dbar 6,6,6 --s 6": "140b17e1fa5b1e71",
     "resolve-trace --dbar 6,6,6 --s 6 --format dot": "81ce00f910bb7ed9",
-    "resolve-trace --dbar 0,2 --s 1": "efc4e76fdb8d8455",
-    "resolve-trace --dbar 3 --s -1": "95867f95d37027e8",
 }
 
 
@@ -752,13 +564,7 @@ class TestEntryPoint:
     interpreter, reading ``sys.argv``."""
 
     def fanolg(self, *argv, module="fanolg.cli"):
-        src = str(Path(fanolg.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path, "COLUMNS": "80"}
-        return subprocess.run(
-            [sys.executable, "-m", module, *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        return fresh.python("-m", module, *argv)
 
     def test_command(self):
         done = self.fanolg("fg", "--d", "3", "--s", "2")
@@ -802,74 +608,35 @@ class TestEntryPoint:
 
     def test_quadrics_answer_in_linear_time(self):
         # 200 quadrics at index 1: each delta_j is one binomial, read in O(1)
-        script = (
-            "import time\n"
-            "from fanolg.cli import main\n"
-            "start = time.perf_counter()\n"
-            "code = main(['hodge', '--dim', '200', '--degrees', ','.join(['2'] * 200),"
-            " '--format', 'json'])\n"
-            "print(code, time.perf_counter() - start)\n"
+        code, seconds, _, answer, err = fresh.timed_main(
+            "hodge", "--dim", "200", "--degrees", ",".join(["2"] * 200), "--format", "json"
         )
-        src = str(Path(fanolg.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path}, timeout=60,
-        )
-        *answer, status = done.stdout.splitlines()
-        code, seconds = status.split()
-        assert (code, done.stderr) == ("0", "")
-        assert float(seconds) < 1
+        assert (code, err) == (0, "")
+        assert seconds < 1
         ci = CompleteIntersection(200, (2,) * 200)
         assert json.loads("\n".join(answer))["h"] == str(agreed(ci, RING))
 
     def test_sweep_stops_k_at_the_dimension(self):
         # k degrees of at least 2 need k <= dim, so a million equations list
         # the rows of three; walking every k to the bound took 36 s at 10,000
-        script = (
-            "import sys, time\n"
-            "from fanolg.cli import main\n"
-            "start = time.perf_counter()\n"
-            "argv = ['sweep', '--max-dim', '3', '--max-k', sys.argv[1], '--max-degree', '2']\n"
-            "code = main(argv)\n"
-            "print(code, time.perf_counter() - start)\n"
-        )
-        src = str(Path(fanolg.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outputs = []
         for max_k in ("1000000", "3"):
-            done = subprocess.run(
-                [sys.executable, "-c", script, max_k], capture_output=True, text=True,
-                env={**os.environ, "PYTHONPATH": path}, timeout=60,
+            code, seconds, _, rows, err = fresh.timed_main(
+                "sweep", "--max-dim", "3", "--max-k", max_k, "--max-degree", "2"
             )
-            *rows, status = done.stdout.splitlines()
-            code, seconds = status.split()
-            assert (code, done.stderr) == ("0", "")
-            assert float(seconds) < 1
+            assert (code, err) == (0, "")
+            assert seconds < 1
             outputs.append(rows)
         assert outputs[0] == outputs[1] and len(outputs[0]) == 6
 
     def test_periods_counts_the_terms_of_f_first(self):
         # f would have C(41, 20) = 269,128,937,220 terms; the address-space cap
         # stops the interpreter early should the count ever come after the terms
-        script = (
-            "import resource, time, tracemalloc\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
-            "from fanolg.cli import main\n"
-            "tracemalloc.start()\n"
-            "start = time.perf_counter()\n"
-            "code = main(['periods', '--dim', '20', '--degrees', '21'])\n"
-            "print(code, time.perf_counter() - start, tracemalloc.get_traced_memory()[1])\n"
+        code, seconds, peak, out, err = fresh.timed_main(
+            "periods", "--dim", "20", "--degrees", "21", address_space=2**29, traced=True
         )
-        src = str(Path(fanolg.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path}, timeout=60,
-        )
-        code, seconds, peak = done.stdout.split()
-        assert code == "3" and float(seconds) < 1 and int(peak) < 2**20
-        assert done.stderr == (
+        assert (code, out) == (3, []) and seconds < 1 and peak < 2**20
+        assert err == (
             "error: the mirror polynomial of 1 equation(s) with degrees of up to 5 bits"
             " would have more than 20,000,000 terms\n"
         )
@@ -877,47 +644,21 @@ class TestEntryPoint:
     def test_periods_to_order_zero_builds_no_polynomial(self):
         # f would have C(23, 11) + 1 = 1,352,079 terms, and building it took
         # seconds and hundreds of MB; the constant term of f^0 is 1 regardless
-        script = (
-            "import resource, time\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
-            "from fanolg.cli import main\n"
-            "start = time.perf_counter()\n"
-            "code = main(['periods', '--dim', '12', '--degrees', '12', '--order', '0'])\n"
-            "print(code, time.perf_counter() - start)\n"
+        code, seconds, _, answer, err = fresh.timed_main(
+            "periods", "--dim", "12", "--degrees", "12", "--order", "0", address_space=2**29
         )
-        src = str(Path(fanolg.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path}, timeout=60,
-        )
-        *answer, status = done.stdout.splitlines()
-        code, seconds = status.split()
-        assert (code, done.stderr) == ("0", "")
-        assert float(seconds) < 1
+        assert (code, err) == (0, "")
+        assert seconds < 1
         assert answer[-1] == "period condition verified up to order 0"
 
     def test_periods_at_high_arity(self):
         # 1,000 variables, 999 of them interchangeable: the orbit search once
         # rebuilt every term through a full permutation per swap, about a minute
-        script = (
-            "import resource, time\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
-            "from fanolg.cli import main\n"
-            "start = time.perf_counter()\n"
-            "code = main(['periods', '--dim', '1000', '--degrees', '2', '--order', '1'])\n"
-            "print(code, time.perf_counter() - start)\n"
+        code, seconds, _, answer, err = fresh.timed_main(
+            "periods", "--dim", "1000", "--degrees", "2", "--order", "1", address_space=2**29
         )
-        src = str(Path(fanolg.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path}, timeout=60,
-        )
-        *answer, status = done.stdout.splitlines()
-        code, seconds = status.split()
-        assert (code, done.stderr) == ("0", "")
-        assert float(seconds) < 5
+        assert (code, err) == (0, "")
+        assert seconds < 5
         assert answer[-1] == "period condition verified up to order 1"
 
     @pytest.mark.parametrize(
@@ -932,36 +673,20 @@ class TestEntryPoint:
     def test_strata_build_only_the_binomial_rows_they_read(self, dim, degrees, expected):
         # whole rows C(d, 0..d - 1) at these degrees took seconds and then
         # passed the address-space cap
-        script = (
-            "import resource, sys, time\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
-            "from fanolg.cli import main\n"
-            "start = time.perf_counter()\n"
-            f"code = main(['verify', '--dim', '{dim}', '--degrees', '{degrees}'])\n"
-            "print(code, time.perf_counter() - start)\n"
+        code, seconds, _, answer, err = fresh.timed_main(
+            "verify", "--dim", dim, "--degrees", degrees, address_space=2**30
         )
-        src = str(Path(fanolg.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path}, timeout=60,
-        )
-        *answer, status = done.stdout.splitlines()
-        code, seconds = status.split()
-        assert (code, done.stderr) == ("0", "")
-        assert float(seconds) < 1
+        assert (code, err) == (0, "")
+        assert seconds < 1
         assert answer == [f"dim {dim}, degrees ({degrees.replace(',', ', ')}): {expected}"]
 
     def test_closed_stdout_exits_4(self):
         # the reader takes one line of the 229 KB trace and leaves, so the
         # rest cannot be written
-        src = str(Path(fanolg.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         argv = ["resolve-trace", "--dbar", "6,6,6", "--s", "6"]
         with subprocess.Popen(
             [sys.executable, "-m", "fanolg.cli", *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=fresh.environment(),
         ) as proc:
             assert proc.stdout.readline() == "{\n"
             proc.stdout.close()

@@ -24,7 +24,6 @@ from fanolg import (
     fano_sweep,
     hodge_h1,
     hypersurface_corollary,
-    poly_space_dim,
 )
 import fanolg
 from fanolg import jacobian_ring
@@ -70,7 +69,7 @@ def unpruned_monomial_count(ci):
         for head in product(*[range(d) for d in ci.degrees]):
             remaining = target - sum(head)
             if remaining >= 0:
-                total += poly_space_dim(remaining, ci.dim + 1)
+                total += comb(remaining + ci.dim, ci.dim)
     return total
 
 
@@ -142,17 +141,6 @@ class TestCompleteIntersection:
             if sum(degrees) <= dim + k
         ]
         assert list(fano_sweep(max_dim, max_k, max_degree)) == expected
-
-
-class TestPolySpaceDim:
-    def test_examples(self):
-        assert poly_space_dim(2, 3) == 6
-        assert poly_space_dim(-1, 5) == 0
-        assert poly_space_dim(0, 4) == 1
-
-    def test_invalid_variable_count(self):
-        with pytest.raises(ValueError):
-            poly_space_dim(2, 0)
 
 
 class TestDeltaJ:

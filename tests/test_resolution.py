@@ -2,14 +2,10 @@
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 from functools import cache
 from itertools import product
 from math import ceil, comb
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +25,7 @@ from fanolg import (
 )
 from fanolg import resolution
 from fanolg.resolution import MAX_RECURSION_SUMMANDS, MAX_TRACE_CELLS
+import fresh
 
 
 def unshared_tree(chart: ChartType) -> tuple[int, set[ChartType]]:
@@ -448,12 +445,7 @@ class TestResolutionTrace:
             "resolution_trace(ChartType((8, 8, 8), 8))\n"
             "print(tracemalloc.get_traced_memory()[1])\n"
         )
-        src = str(Path(resolution.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
-        )
+        done = fresh.python("-c", script)
         assert done.returncode == 0, done.stderr
         assert int(done.stdout) < 1.95 * 2**20
 
