@@ -86,9 +86,10 @@ def enumerate_strata(ci: CompleteIntersection) -> list[StratumContribution]:
     l = index - 1 counts the extra coordinates that always vanish on a center.
     G(d, s) = C(d - 1, s) vanishes once s >= d, so only labels with
     i_1 + ... + i_k <= d_j - 1 - l are enumerated, and every listed stratum
-    carries at least one divisor.  Labels come in ``itertools.product`` order
-    for each j in turn, each as a ``StratumContribution``.  They grow one entry
-    at a time from their prefixes, each prefix carrying its sum and its
+    carries at least one divisor.  At index 1 (l = 0) the zero label is left
+    out, and its G(d_j, 0) is not formed.  Labels come in ``itertools.product``
+    order for each j in turn, each as a ``StratumContribution``.  They grow one
+    entry at a time from their prefixes, each prefix carrying its sum and its
     multiplicity, so every entry's binomial is multiplied in once per prefix
     rather than once per label, and the last entry builds each record at once.
 
@@ -128,7 +129,9 @@ def enumerate_strata(ci: CompleteIntersection) -> list[StratumContribution]:
     tails = [(i,) for i in range(top + 1)]
     last_row = rows[-1]
     for j, dj, caps, bound in plans:
-        g_row = [g_closed(dj, s + l) for s in range(bound + 1)]
+        # G(d_j, l + the label's sum); G(d_j, 0) would serve only the zero
+        # label at index 1, which is not listed
+        g_row = [g_closed(dj, t) if t else 0 for t in range(l, bound + l + 1)]
         level = [((), 0, 1)]  # (ivec prefix, its sum, its multiplicity)
         for cap, row in zip(caps[:-1], rows):
             level = [
@@ -136,15 +139,13 @@ def enumerate_strata(ci: CompleteIntersection) -> list[StratumContribution]:
                 for ivec, s, m in level
                 for i in range(min(cap, bound - s) + 1)
             ]
-        # the last entry turns each prefix into the records of its labels
-        start = len(out)
+        # the last entry turns each prefix into the records of its labels; at
+        # index 1 the zero label, whose prefix alone sums to 0, is not listed
         out += [
             _stratum((j, ivec + tails[i], m * last_row[i], g_row[s + i]))
             for ivec, s, m in level
-            for i in range(min(caps[-1], bound - s) + 1)
+            for i in range(not (s or l), min(caps[-1], bound - s) + 1)
         ]
-        if l == 0:  # at index 1 the zero label goes; it is first in product order
-            del out[start]
     return out
 
 

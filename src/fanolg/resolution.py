@@ -11,10 +11,10 @@ decreasing weight proves termination.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from operator import getitem, mul
+from itertools import repeat
+from operator import add, itemgetter, mul
 from typing import Iterator, NamedTuple
 
 from .exactmath import BudgetExceeded, binomial, binomial_row
@@ -54,14 +54,13 @@ def fg_rec(d: int, s: int) -> tuple[int, int]:
     is the i = s term for F(d, s), so its state lies in F's table.
 
     The levels d are evaluated bottom up, without Python recursion (see
-    ``_f_states``); ``BudgetExceeded`` is raised when the recursion would add
-    more than ``MAX_RECURSION_SUMMANDS`` summands, at once past d = 500,000.
+    ``_fg_diagonals``); ``BudgetExceeded`` is raised when the recursion would
+    add more than ``MAX_RECURSION_SUMMANDS`` summands, at once past d = 500,000.
     """
     _check_fg_arguments(d, s)
     if s == 0:
         return 1, 1
-    levels = _f_states(d, s)
-    return levels[d][s], levels[d - s][s] if s < d else 0
+    return _fg_diagonals(d, s)
 
 
 def _check_fg_arguments(d: int, s: int) -> None:
@@ -72,66 +71,75 @@ def _check_fg_arguments(d: int, s: int) -> None:
         raise ValueError(f"s must be >= 0, got {s}")
 
 
-def _f_states(d: int, s: int) -> list[dict[int, int]]:
-    """F at every state (d', s') the recursion reaches from (d, s), for d, s >= 1,
-    as ``levels[d'][s']`` (``levels[0]`` is empty: no state reads level 0).
+def _fg_diagonals(d: int, s: int) -> tuple[int, int]:
+    """F(d, s) and G(d, s) for d, s >= 1, over the states (d', s') the
+    recursion reaches from (d, s).
 
     The state (d', s') needs G(d', i) = F(d' - i, i) for 1 <= i <= s', and only
-    for i < d', since F vanishes at d' - i <= 0; G(d', 0) = 1.  A first pass
-    walks the levels d' from d down to 1 and collects the reachable s' of each
-    level (the children of a level are those of its largest s'), counting one
-    summand per term before any arithmetic.  Every level holds a state and
-    every state above level 1 costs at least 2 summands, so d > 500,000 is
-    refused before any level is walked.
+    for i < d', since F vanishes at d' - i <= 0; G(d', 0) = 1.  So the level d'
+    reads the states (d' - i, i) for i up to high = min(top, d' - 1), with top
+    its largest s'.  Those states make up the diagonal d' (level plus s' equal
+    to d'); every state but the root lies on one diagonal, reached from one
+    level, and every level is reached, by steps of i = 1.
 
-    The second pass goes up the levels, so every child is known before its
-    parents.  At level d' it builds the vector G(d', 0..top) once, with top =
-    min(max s', d' - 1) the last term any state of the level reads, and reads
-    every state as the dot product of that vector with the binomial row
-    C(s', 0..).  Each row is built once per distinct s', only as long as the
-    highest level that holds s' needs, min(s', d' - 1) + 1 entries, so the
-    rows together hold fewer entries than the summands counted and the root's
-    s may be huge.
+    A first pass walks the levels from d down to 1 and keeps one int per level,
+    its top: the highest level that reaches a level reaches it with the
+    largest i, and that level only falls as the walk goes down.  The pass
+    counts the summands of the states each level reaches, min(i, d' - 1 - i)
+    + 1 each, in closed form and before any arithmetic.  Every level holds a
+    state and every state above level 1 costs at least 2 summands, so
+    d > 500,000 is refused before any level is walked.  The binomial row
+    C(i, 0..) is built once per distinct i, only as long as the highest level
+    that holds i needs, min(i, d' - 1) + 1 entries, so the rows together hold
+    fewer entries than the summands counted and the root's s may be huge.
+
+    The second pass builds each diagonal d', going up, as the vector
+    [1, G(d', 1), ..., G(d', high)] that the states of level d' read: its
+    entry i is the row of i times the diagonal of level d' - i, built before
+    it.  The diagonal of a level is dropped once the highest level that reaches
+    it is built.  F(d, s) is the root's row times the diagonal d, and G(d, s)
+    its entry s.
     """
     if 2 * d - 1 > MAX_RECURSION_SUMMANDS:
         raise _summand_limit(d, s)
-    reach: defaultdict[int, dict[int, int]] = defaultdict(dict)
-    reach[d][s] = 0
-    levels: list[dict[int, int]] = []  # the states of each level, d first
-    rows: dict[int, list[int]] = {}
-    summands = 0
+    tops = [0] * (d + 1)  # per level: the largest s' reached there
+    tops[d] = s
+    reacher = d  # the highest level that reaches the current one
+    rows = [[1]]  # C(i, 0..) for every i a level reads
+    summands = min(s, d - 1) + 1  # the root's own terms
     for level in range(d, 0, -1):
-        states = reach.pop(level)  # every level is reached, by steps of i = 1
-        high = max(states)
-        if high < level:  # every state t sums all its t + 1 terms
-            summands += sum(states) + len(states)
-        else:
-            high = level - 1
-            summands += sum(min(t, high) + 1 for t in states)
+        while reacher - tops[reacher] > level:
+            reacher -= 1
+        if reacher > level:  # the root's level keeps s
+            tops[level] = reacher - level
+        top = tops[level]
+        high = top if top < level else level - 1
+        # the states (level - i, i) cost i + 1 up to i = half, level - i after
+        half = high if 2 * high < level else (level - 1) // 2
+        summands += half * (half + 3) // 2 + (high - half) * (2 * level - 1 - high - half) // 2
         if summands > MAX_RECURSION_SUMMANDS:
             raise _summand_limit(d, s)
-        for i in range(1, high + 1):
-            reach[level - i][i] = 0
-        # every level reaches the states 1..high, so a state is new here when
-        # it passes every earlier high, and level - i is then its highest level
-        for i in range(len(rows) + 1, high + 1):
-            rows[i] = binomial_row(i, min(i, level - i - 1))
-        levels.append(states)
-    rows[s] = binomial_row(s, min(s, d - 1))  # the root's level d is the highest
+        if high >= len(rows):
+            # a state is new here when it passes every earlier high, and
+            # level - i is then its highest level
+            rows += [binomial_row(i, min(i, level - i - 1)) for i in range(len(rows), high + 1)]
 
-    levels.append({})
-    levels.reverse()
-    for level in range(1, d + 1):
-        states = levels[level]
-        top = min(max(states), level - 1)
-        # one summand per choice of which x-variables vanish at the blow-up
-        # center; the empty choice, C(t, 0) * G(level, 0), is the 1
-        g = [1, *map(getitem, reversed(levels[level - top:level]), range(1, top + 1))]
-        for t in states:
-            # map stops at the shorter side: g ends at min(t, level - 1) when t's
-            # row is longer than this level needs, and t's row when t < top
-            states[t] = sum(map(mul, rows[t], g))
-    return levels
+    diagonals: list[list[int] | None] = [None] * (d + 1)
+    diagonals[1] = [1]  # G(1, i) = 0 for i >= 1
+    dead = 1  # the diagonals below it are dropped
+    for level in range(2, d + 1):
+        top = tops[level]
+        high = top if top < level else level - 1
+        # map stops at the shorter side: the diagonal of level - i ends at its
+        # high when i's row is longer than that state needs
+        diagonal = diagonals[level] = [1]
+        for i in range(1, high + 1):
+            diagonal.append(sum(map(mul, rows[i], diagonals[level - i])))
+        while dead + tops[dead] <= level:
+            diagonals[dead] = None
+            dead += 1
+    last = diagonals[d]
+    return sum(map(mul, binomial_row(s, min(s, d - 1)), last)), last[s] if s < d else 0
 
 
 def _summand_limit(d: int, s: int) -> BudgetExceeded:
@@ -196,7 +204,7 @@ def _blow_up(dbar: tuple[int, ...], s: int) -> tuple[int, ChartType, ChartType]:
     """The rewriting rule on a non-terminal chart: the center size m, the
     a_1 != 0 chart and the (isomorphic) x_i != 0 charts."""
     d1 = dbar[0]
-    m = min(d1, s)
+    m = s if s < d1 else d1
     rest = d1 - m
     if rest:
         return m, _chart(((rest,) + dbar[1:], s)), _chart((dbar + (rest,), s - 1))
@@ -261,6 +269,12 @@ class TraceNode(NamedTuple):
 
     chart: ChartType
     edges: tuple[TraceEdge, ...]
+
+
+# TraceNode((chart, edges)) and TraceEdge((stratum, charts, node)) without the
+# generated __new__, for the nodes the trace assembles
+_node = partial(tuple.__new__, TraceNode)
+_edge = partial(tuple.__new__, TraceEdge)
 
 
 @dataclass(frozen=True)
@@ -358,17 +372,21 @@ def resolution_trace(chart: ChartType, node_limit: int = DEFAULT_NODE_LIMIT) -> 
     closes, after its children.  A chart is hashed once, when it is first
     seen, and gets an integer id; the walk runs on ids, over plain lists of
     blow-up steps and tree sizes.  ``node_limit`` bounds the tree size: the
-    build fails with ``BudgetExceeded`` once more than ``node_limit`` distinct
-    charts are seen (each is at least one tree node) or at the first subtree
-    that holds more than ``node_limit`` nodes, before the rest is expanded.
-    It fails the same way once the expanded charts would store more than
-    ``MAX_TRACE_CELLS`` cells, charged ``len(dbar) + m + 2`` per expanded
-    chart with a center of size m and ``len(dbar) + 1`` per terminal chart,
-    which bounds the memory of long exponent lists.  The nodes are then
-    assembled in increasing weight (pre-order among equal weights), so every
-    child node exists before its parents.  Since the weights decrease
-    strictly, the rewriting always ends; the budgets bound the work, not a
-    termination bug.
+    walk keeps a lower bound on it, the distinct charts seen (each is at least
+    one tree node) plus the tree size of each closed subtree met again (a
+    copy the tree holds besides the first), and the build fails with
+    ``BudgetExceeded`` once that bound passes ``node_limit``, before the rest
+    is expanded.  Every subtree that closes is counted in the bound, and once
+    the walk ends the bound is the tree size.  It fails the same way once the
+    expanded charts would store more than ``MAX_TRACE_CELLS`` cells, charged
+    ``len(dbar) + m + 2`` per expanded chart with a center of size m and
+    ``len(dbar) + 1`` per terminal chart, which bounds the memory of long
+    exponent lists.  The nodes are then assembled in increasing weight
+    (pre-order among equal weights), sorted by one integer per chart,
+    ``s * (max_total + 1) + sum(dbar)`` with ``max_total`` the largest
+    ``sum(dbar)`` met, which orders as the weight does; so every child node
+    exists before its parents.  Since the weights decrease strictly, the
+    rewriting always ends; the budgets bound the work, not a termination bug.
     """
     chart = _entering(chart)
     if node_limit < 1:
@@ -384,35 +402,44 @@ def resolution_trace(chart: ChartType, node_limit: int = DEFAULT_NODE_LIMIT) -> 
     steps: list[tuple[int, int, int] | None] = [None]
     sizes = [0]
     order: list[int] = []
+    # the lower bound on the tree size is len(charts) plus the tree sizes of
+    # the closed subtrees met again, and room is node_limit less the latter
+    room = node_limit
     cells = 0
     pending = [0]
+    pop = pending.pop
     while pending:
-        i = pending.pop()
-        if sizes[i]:
+        i = pop()
+        size = sizes[i]
+        if size:  # a closed subtree met again
+            room -= size
+            if len(charts) > room:
+                raise exceeded()
             continue
         step = steps[i]
         if step:  # met again only to close it, since no chart is its own descendant
             _, a, x = step
-            size = sizes[i] = 1 + sizes[a] + sizes[x]
-            if size > node_limit:
-                raise exceeded()
+            sizes[i] = 1 + sizes[a] + sizes[x]
             continue
         order.append(i)
         dbar, s = charts[i]
         # a chart stores len(dbar) + 1 cells, a blow-up step m + 1 more
         if dbar and s:
             m, a_chart, x_chart = _blow_up(dbar, s)
-            a = ids.setdefault(a_chart, len(charts))
-            if a == len(charts):
+            # a new id comes from len(), whose ints are smaller than those of n + 1
+            n = len(charts)
+            a = ids.setdefault(a_chart, n)
+            if a == n:
                 charts.append(a_chart)
                 steps.append(None)
                 sizes.append(0)
-            x = ids.setdefault(x_chart, len(charts))
-            if x == len(charts):
+                n = len(charts)
+            x = ids.setdefault(x_chart, n)
+            if x == n:
                 charts.append(x_chart)
                 steps.append(None)
                 sizes.append(0)
-            if len(charts) > node_limit:
+            if len(charts) > room:
                 raise exceeded()
             steps[i] = (m, a, x)
             pending += (i, a, x)  # close after both children, the x-chart first
@@ -427,23 +454,23 @@ def resolution_trace(chart: ChartType, node_limit: int = DEFAULT_NODE_LIMIT) -> 
     node_count = sizes[0]
     del ids, sizes
 
-    order.sort(key=list(map(ChartType.weight, charts)).__getitem__)
-    new_node = partial(tuple.__new__, TraceNode)
-    new_edge = partial(tuple.__new__, TraceEdge)
+    # s * (max_total + 1) + sum(dbar) orders the charts as their weights do
+    totals = list(map(sum, map(itemgetter(0), charts)))
+    keys = list(map(add, map(mul, map(itemgetter(1), charts), repeat(max(totals) + 1)), totals))
+    order.sort(key=keys.__getitem__)
+    del totals, keys
     centers: dict[int, tuple[str, tuple[str, ...]]] = {}
     nodes: list = steps  # each step gives way to its node, built after its children's
     for i in order:
         step = nodes[i]
         if step is None:
-            nodes[i] = new_node((charts[i], ()))
+            nodes[i] = _node((charts[i], ()))
             continue
         m, a, x = step
-        if m not in centers:
-            centers[m] = _center(m)
-        stratum, x_labels = centers[m]
-        edges = (
-            new_edge((stratum, _A_LABELS, nodes[a])),
-            new_edge((stratum, x_labels, nodes[x])),
-        )
-        nodes[i] = new_node((charts[i], edges))
+        center = centers.get(m)
+        if center is None:
+            center = centers[m] = _center(m)
+        stratum, x_labels = center
+        edges = (_edge((stratum, _A_LABELS, nodes[a])), _edge((stratum, x_labels, nodes[x])))
+        nodes[i] = _node((charts[i], edges))
     return ResolutionTrace(tuple(map(nodes.__getitem__, reversed(order))), node_count)

@@ -680,6 +680,28 @@ class TestEntryPoint:
         assert seconds < 1
         assert answer == [f"dim {dim}, degrees ({degrees.replace(',', ', ')}): {expected}"]
 
+    def test_over_limit_trace_is_refused_before_its_root_closes(self):
+        # the tree passes 1,000,000 nodes long before the root's subtree
+        # closes, and a build that waits for it outgrows the cap
+        code, _, _, out, err = fresh.timed_main(
+            "resolve-trace", "--dbar", "40,1,1", "--s", "7", address_space=2**28
+        )
+        assert (code, out) == (3, [])
+        assert err == "error: resolution trace from L((40, 1, 1); s=7) exceeded 1000000 nodes\n"
+
+    def test_deepest_fg_chain_answers_in_little_memory(self):
+        # 499,999 levels of one state each: the cap holds a few of their
+        # vectors at a time, not one container per level
+        code, _, _, out, err = fresh.timed_main(
+            "fg", "--d", "499999", "--s", "1", address_space=2**27
+        )
+        assert (code, err) == (0, "")
+        assert out == [
+            "F(499999,1): recursion 499999, closed form 499999",
+            "G(499999,1): recursion 499998, closed form 499998",
+            "agreement: yes",
+        ]
+
     def test_closed_stdout_exits_4(self):
         # the reader takes one line of the 229 KB trace and leaves, so the
         # rest cannot be written

@@ -119,6 +119,22 @@ class TestEnumerateStrata:
         assert enumerate_strata(ci) == expected
         assert all(c.divisors > 0 for c in expected)
 
+    def test_index_one_forms_no_zero_label(self, monkeypatch):
+        # G(d_j, 0) would serve only the zero label, which index 1 does not list
+        index_one = [ci for ci in fano_sweep(8, 3, 6) if ci.l == 0]
+        before = [(enumerate_strata(ci), k_lg(ci)) for ci in index_one]
+        g_closed = lg_count.g_closed
+
+        def g_closed_past_zero(d, s):
+            assert s > 0, f"G({d}, 0) formed"
+            return g_closed(d, s)
+
+        monkeypatch.setattr(lg_count, "g_closed", g_closed_past_zero)
+        assert [(enumerate_strata(ci), k_lg(ci)) for ci in index_one] == before
+        for ci, (strata, report) in zip(index_one, before):
+            assert strata == [c for c in unpruned_strata(ci) if c.divisors != 0], ci
+            assert report.k_lg == k_lg_closed(ci), ci
+
     def test_sweep_listing_is_pinned(self):
         # every label, its order and its record values, byte for byte
         listing = [enumerate_strata(ci) for ci in fano_sweep(16, 5, 10)]

@@ -466,7 +466,9 @@ class TestResolutionTrace:
         assert trace.node_count == oracle.node_count
         assert trace.to_json_dict() == oracle.to_json_dict()
         assert trace.to_dot() == oracle.to_dot()
-        for limit in (trace.node_count, trace.node_count - 1):
+        # the tree size and the distinct charts, each limit and one below it
+        distinct = len(trace.nodes)
+        for limit in (trace.node_count, trace.node_count - 1, distinct, distinct - 1):
             assert outcome(resolution_trace, chart, limit) == outcome(worklist_trace, chart, limit)
 
     @settings(max_examples=150, deadline=None)
