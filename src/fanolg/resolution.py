@@ -377,15 +377,21 @@ def resolution_trace(chart: ChartType, node_limit: int = DEFAULT_NODE_LIMIT) -> 
     copy the tree holds besides the first), and the build fails with
     ``BudgetExceeded`` once that bound passes ``node_limit``, before the rest
     is expanded.  Every subtree that closes is counted in the bound, and once
-    the walk ends the bound is the tree size.  It fails the same way once the
-    expanded charts would store more than ``MAX_TRACE_CELLS`` cells, charged
-    ``len(dbar) + m + 2`` per expanded chart with a center of size m and
-    ``len(dbar) + 1`` per terminal chart, which bounds the memory of long
-    exponent lists.  The nodes are then assembled in increasing weight
-    (pre-order among equal weights), sorted by one integer per chart,
-    ``s * (max_total + 1) + sum(dbar)`` with ``max_total`` the largest
-    ``sum(dbar)`` met, which orders as the weight does; so every child node
-    exists before its parents.  Since the weights decrease strictly, the
+    the walk ends the bound is the tree size.  A chain closes no subtree
+    before its bottom, so a starting chart is refused before the walk when its
+    x-chart chain (s levels) or its a-chart chain alone passes the limit.  The
+    a-chart keeps s and takes s off its first exponent, or drops it, so its
+    chain runs sum_t ceil(d_t / s) levels; each level adds its node and a
+    sibling, so a non-terminal chart's tree has at least
+    2 * max(s, sum_t ceil(d_t / s)) + 1 nodes.  It fails
+    the same way once the expanded charts would store more than
+    ``MAX_TRACE_CELLS`` cells, charged ``len(dbar) + m + 2`` per expanded
+    chart with a center of size m and ``len(dbar) + 1`` per terminal chart,
+    which bounds the memory of long exponent lists.  The nodes are then
+    assembled in increasing weight (pre-order among equal weights), sorted by
+    one integer per chart, ``s * (max_total + 1) + sum(dbar)`` with
+    ``max_total`` the largest ``sum(dbar)`` met, which orders as the weight
+    does; so every child node exists before its parents.  Since the weights decrease strictly, the
     rewriting always ends; the budgets bound the work, not a termination bug.
     """
     chart = _entering(chart)
@@ -394,6 +400,12 @@ def resolution_trace(chart: ChartType, node_limit: int = DEFAULT_NODE_LIMIT) -> 
 
     def exceeded() -> BudgetExceeded:
         return BudgetExceeded(f"resolution trace from {chart} exceeded {node_limit} nodes")
+
+    # the x-chart chain runs s levels and the a-chart chain sum_t ceil(d_t / s),
+    # each level adding its node and a sibling: a chain too long is refused unwalked
+    dbar, s = chart
+    if dbar and s and 2 * max(s, sum(-(-d // s) for d in dbar)) + 1 > node_limit:
+        raise exceeded()
 
     # per id: the chart, its blow-up step (None when terminal or not yet
     # expanded) and its tree size (0 until closed); the ids in pre-order

@@ -1,0 +1,110 @@
+"""Every command line the CLI answers, one row each.
+
+A row gives the line (its words split at spaces), the exit code (0, or 1 for a
+failed verification) and the digest of what the line prints: the first 16 hex
+digits of the sha256 of ``repr((exit, stdout, stderr))`` at 80 columns.
+``test_answers.py`` runs every row through ``fanolg.cli.main``.  It requires
+the row's exit code, an empty stderr, the row's digest and the same output
+from the full parser, and it checks each JSON payload, and each CSV row, against
+a second route to its values.  It also requires a row for every view of every
+command, a JSON twin for every other view of a command that has a JSON view,
+and a row for every line of the README's command-line block.  The refused
+lines are the rows of ``refusals.py``.
+"""
+
+from typing import NamedTuple
+
+QUADRICS = ",".join(["2"] * 20)
+
+
+class Answer(NamedTuple):
+    line: str
+    code: int
+    digest: str
+
+
+ANSWERS = [
+    # the cubic threefold: h = 5, in each view of each command that takes it
+    Answer("hodge --dim 3 --degrees 3", 0, "e5057ed5db91cc38"),
+    Answer("hodge --dim 3 --degrees 3 --format text", 0, "e5057ed5db91cc38"),
+    Answer("hodge --dim 3 --degrees 3 --format json", 0, "ff2d1da2e82bd45a"),
+    Answer("klg --dim 3 --degrees 3", 0, "14ab69f93e25ffd1"),
+    Answer("klg --dim 3 --degrees 3 --format json", 0, "de104ea4502d56fb"),
+    Answer("klg --dim 3 --degrees 3 --strata", 0, "e308daa4fcdb6010"),
+    Answer("klg --dim 3 --degrees 3 --strata --format json", 0, "e655fa36f31c7311"),
+    Answer("verify --dim 3 --degrees 3", 0, "cc018671566938e7"),
+    Answer("verify --dim 3 --degrees 3 --format text", 0, "cc018671566938e7"),
+    Answer("verify --dim 3 --degrees 3 --format json", 0, "581ce3f461aa3631"),
+    Answer("periods --dim 3 --degrees 3", 0, "1697b4f4bb2be9f9"),
+    Answer("periods --dim 3 --degrees 3 --format text", 0, "1697b4f4bb2be9f9"),
+    Answer("periods --dim 3 --degrees 3 --format json", 0, "c277ff83643bcc2c"),
+    # from dim 11 on, the h-labels outgrow "complete intersection"
+    Answer("hodge --dim 12 --degrees 2,3", 0, "e2208823ddbc20de"),
+    Answer("hodge --dim 12 --degrees 2,3 --format json", 0, "119b0f3fdf40c7b4"),
+    Answer("hodge --dim 20 --degrees 2,3", 0, "4ee7530c923e0545"),
+    Answer("hodge --dim 20 --degrees 2,3 --format json", 0, "7f4f0b4f65ba432b"),
+    Answer("hodge --dim 1001 --degrees 2,3", 0, "210081801910c85d"),
+    Answer("hodge --dim 1001 --degrees 2,3 --format json", 0, "1c6819a6f3877352"),
+    Answer("hodge --dim 4 --degrees 2,2 --format json", 0, "9e5c86f16d74c39d"),
+    # no quadric runs a mask loop, so twenty of them are charged nothing:
+    # h = 779 in dimension 20, 0 in dimension 30
+    *[
+        Answer(f"{command} --dim {dim} --degrees {QUADRICS} --format json", 0, digest)
+        for command, dim, digest in (
+            ("hodge", 20, "2cd8367844900dce"),
+            ("hodge", 30, "8c22c3a7a3f14425"),
+            ("verify", 20, "a54470911c7588bb"),
+            ("verify", 30, "7b201861f5d85b36"),
+        )
+    ],
+    # h and k_LG past 2**53, the integers a JSON number keeps in most readers
+    Answer("hodge --dim 30 --degrees 31 --format json", 0, "b1c09078f88f627c"),
+    Answer("klg --dim 30 --degrees 31 --strata --format json", 0, "953f5a727e3ff3c8"),
+    Answer("verify --dim 30 --degrees 31 --format json", 0, "afe4fe0d08092782"),
+    Answer("klg --dim 4 --degrees 2,3 --strata", 0, "06a4138d97c3cab3"),
+    Answer("klg --dim 4 --degrees 2,3 --strata --format json", 0, "73ab2cb60b6f813c"),
+    # the cubic surface: k_LG = 6 from one stratum, h = 7 with the hyperplane class
+    Answer("klg --dim 2 --degrees 3 --format json", 0, "839a10f97f3297d1"),
+    Answer("klg --dim 2 --degrees 3 --format json --strata", 0, "ad4a5997e9f144a3"),
+    Answer("verify --dim 2 --degrees 3", 0, "f06d5b405c94799c"),
+    Answer("verify --dim 2 --degrees 3 --format json", 0, "7bd5ac0c3416c68d"),
+    # no stratum carries a divisor
+    Answer("klg --dim 3 --degrees 2 --strata --format json", 0, "279fe800b015e04b"),
+    Answer("verify --dim 4 --degrees 2,2", 0, "bbc6f869fdb0e21e"),
+    Answer("verify --dim 4 --degrees 2,2 --format json", 0, "58a900726f794141"),
+    # the default order is 3 * index
+    Answer("periods --dim 3 --degrees 2", 0, "ef90fd325810396a"),
+    Answer("periods --dim 3 --degrees 2 --format json", 0, "09427fd22d7618f6"),
+    Answer("periods --dim 3 --degrees 2 --order 9", 0, "ef90fd325810396a"),
+    Answer("periods --dim 3 --degrees 2 --order 9 --format json", 0, "09427fd22d7618f6"),
+    Answer("periods --dim 4 --degrees 2,2", 0, "b6ce4f006e6cb527"),
+    Answer("periods --dim 4 --degrees 2,2 --format json", 0, "d3b88dd0b43d0727"),
+    # recorded while order 0 still built f
+    Answer("periods --dim 3 --degrees 3 --order 0", 0, "ea4b92084a2d75d6"),
+    Answer("periods --dim 3 --degrees 3 --order 0 --format json", 0, "7fb16433be1a7d16"),
+    Answer("periods --dim 3 --degrees 3 --order 4 --format json", 0, "3debc530574c806b"),
+    # constant terms past 2**53
+    Answer("periods --dim 3 --degrees 3 --order 20", 0, "5c40d3cbb462aa0a"),
+    Answer("periods --dim 3 --degrees 3 --order 20 --format json", 0, "93fd763c32fc95be"),
+    Answer("fg --d 3 --s 2", 0, "a5ef0a879d21a35d"),
+    Answer("fg --d 3 --s 2 --format json", 0, "6f343df13c41cc21"),
+    Answer("fg --d 5 --s 1 --format json", 0, "613fc915536db4c4"),
+    # one state per level of d, far past Python's recursion limit
+    Answer("fg --d 3000 --s 1", 0, "3aff95f692e2c93d"),
+    Answer("fg --d 3000 --s 1 --format json", 0, "dad8672c1aaea1ea"),
+    Answer("fg --d 10 --s 100000000 --format json", 0, "121e372ed61ab12a"),
+    # F(120, 120) past 2**53
+    Answer("fg --d 120 --s 120 --format json", 0, "308a774465767a36"),
+    Answer("resolve-trace --dbar 3 --s 1", 0, "890ec581a3b5125b"),
+    Answer("resolve-trace --dbar 2,2 --s 2", 0, "cd29d1ad8b8b4e36"),
+    Answer("resolve-trace --dbar 2,2 --s 2 --format dot", 0, "7f928d0f1fb32431"),
+    Answer("resolve-trace --dbar 3,2 --s 2", 0, "b0a8d8eb0612935c"),
+    Answer("resolve-trace --dbar 3,2 --s 2 --format dot", 0, "f05512fd7917511d"),
+    # 679 distinct charts, 7,231 tree nodes; a limit one below is a refusal
+    Answer("resolve-trace --dbar 6,6,6 --s 6", 0, "140b17e1fa5b1e71"),
+    Answer("resolve-trace --dbar 6,6,6 --s 6 --format dot", 0, "81ce00f910bb7ed9"),
+    Answer("resolve-trace --dbar 6,6,6 --s 6 --node-limit 7231", 0, "140b17e1fa5b1e71"),
+    Answer("sweep --max-dim 4 --max-k 2 --max-degree 3", 0, "241e7991a0f9fe26"),
+    Answer("sweep --max-dim 5 --max-k 2 --max-degree 4", 0, "260f5b7b3cc04553"),
+    Answer("sweep --max-dim 8 --max-k 3 --max-degree 6", 0, "3ace3f88064e5299"),
+]

@@ -146,9 +146,21 @@ REFUSALS = [
             "error: resolution trace from L((6, 6); s=4) exceeded 10 nodes\n",
             "resolution.DEFAULT_NODE_LIMIT"),
     # 679 distinct charts, but 7,231 tree nodes: a limit of 900 must not suffice
-    Refusal("resolve-trace --dbar 6,6,6 --s 6 --node-limit 900", 3,
-            "error: resolution trace from L((6, 6, 6); s=6) exceeded 900 nodes\n",
-            "resolution.DEFAULT_NODE_LIMIT"),
+    *[
+        Refusal(f"resolve-trace --dbar 6,6,6 --s 6 --node-limit {limit}", 3,
+                f"error: resolution trace from L((6, 6, 6); s=6) exceeded {limit} nodes\n",
+                "resolution.DEFAULT_NODE_LIMIT")
+        for limit in (900, 7230)  # 7230 is one below the tree size, an answer row
+    ],
+    # chains of 10^8 blow-ups, whose trees of at least 2 * 10^8 + 1 nodes are
+    # refused before the walk; the last runs its a-chart chain past d_1
+    *[
+        Refusal(f"resolve-trace --dbar {dbar} --s {s}", 3, (
+            f"error: resolution trace from L(({dbar.replace(',', ', ')}); s={s})"
+            " exceeded 1000000 nodes\n"
+        ), "resolution.DEFAULT_NODE_LIMIT", seconds=1)
+        for dbar, s in (("1", 100000000), ("100000000", 1), ("1,100000000", 1))
+    ],
     Refusal("resolve-trace --dbar 12,12,12 --s 12", 3,
             "error: resolution trace from L((12, 12, 12); s=12) exceeded 1000000 nodes\n",
             "resolution.DEFAULT_NODE_LIMIT"),

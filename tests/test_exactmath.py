@@ -66,12 +66,12 @@ class TestCappedVectors:
         assert capped_sum_counts([3, 3], -1) == []
         assert capped_sum_counts([0], -4) == []
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.lists(st.integers(0, 6), max_size=5), st.integers(-3, 20))
     def test_property_equals_filtered_product(self, caps, bound):
         assert sum(capped_sum_counts(caps, bound)) == len(filtered_product(caps, bound))
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.lists(st.integers(0, 6), max_size=5), st.integers(-3, 20))
     def test_property_sum_counts_equal_counter_of_sums(self, caps, bound):
         sums = Counter(s for _, s in filtered_product(caps, bound))
@@ -109,7 +109,7 @@ class TestBinomial:
             binomial(2**64, 2**63)
         assert binomial(2**64, 2) == 2**63 * (2**64 - 1)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.integers(0, 300), st.integers(0, 300))
     def test_property_row_equals_comb(self, a, b):
         n, cap = max(a, b), min(a, b)

@@ -219,7 +219,7 @@ class TestConstantTerm:
             for n in range(5):
                 assert phi_series(f, n).coefficients[n] == powers[n].get((0,) * arity, 0)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(laurent_polynomials(), st.integers(0, 8))
     def test_property_agrees_with_unpruned_power(self, f, order):
         zero = (0,) * f.arity
@@ -246,7 +246,7 @@ class TestConstantTerm:
             for order in range(13):
                 assert phi_series(f, order).coefficients == expected[: order + 1], (f, order)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(symmetric_laurent_polynomials())
     def test_property_symmetric_agrees_with_unpruned_power(self, f):
         zero = (0,) * f.arity
@@ -381,7 +381,7 @@ class TestTermOrbits:
         for e, weight in weights.items():
             assert weight == (1 if e[0] == e[1] else 2)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(symmetric_laurent_polynomials())
     def test_property_orbits_cover_the_terms(self, f):
         weights = _term_orbits(f)
@@ -393,7 +393,7 @@ class TestTermOrbits:
             f = build_fx(ci)
             assert list(_term_orbits(f).items()) == list(plain_term_orbits(f).items()), ci
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(symmetric_laurent_polynomials(max_arity=5))
     def test_property_equals_the_permutation_search(self, f):
         assert list(_term_orbits(f).items()) == list(plain_term_orbits(f).items())
@@ -467,7 +467,7 @@ class TestVerifyPeriod:
                 if n % ci.index:
                     assert report.phi.coefficients[n] == 0, (ci, n)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.sampled_from(list(fano_sweep(6, 2, 7))), st.data())
     def test_property_random_fano(self, ci, data):
         order = data.draw(st.integers(0, ci.index + 1), label="order")

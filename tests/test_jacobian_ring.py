@@ -129,7 +129,7 @@ class TestCompleteIntersection:
         assert keys == sorted(keys)
         assert CompleteIntersection(3, (2, 3)) in sweep
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.integers(0, 12), st.integers(0, 5), st.integers(0, 10))
     def test_property_fano_sweep_equals_the_filtered_tuples(self, max_dim, max_k, max_degree):
         # every nondecreasing tuple, filtered by the Fano condition afterwards
@@ -176,7 +176,7 @@ class TestDeltaJ:
         expected = [plain_delta_j(pair, 1), plain_delta_j(pair, 2)]
         assert [delta_j(pair, 1), delta_j(pair, 2)] == expected == [0, 1]
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(fano_complete_intersections(max_k=8))
     def test_property_vanishes_exactly_below_the_index(self, ci):
         # at or above the index the monomial x^(d_j - index) in one of the
@@ -187,7 +187,7 @@ class TestDeltaJ:
             else:
                 assert delta_j(ci, j) >= 1
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(fano_complete_intersections(max_k=8))
     def test_property_equals_the_plain_mask_loop(self, ci):
         for j in range(1, ci.k + 1):
@@ -210,7 +210,7 @@ class TestDeltaJ:
             closed = ci.dim + ci.k + 1 if r else 1
             assert delta_j(ci, j) == plain_delta_j(ci, j) == closed, (ci, j)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(fano_complete_intersections(max_k=8))
     def test_property_one_binomial_case(self, ci):
         for j, dj in enumerate(ci.degrees, 1):
@@ -249,7 +249,7 @@ class TestRingDimensions:
     def test_oracle_when_index_exceeds_all_degrees(self):
         assert count_monomials_oracle(QUADRIC_THREEFOLD) == 0
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(fano_complete_intersections())
     def test_property_oracle_equals_unpruned_count(self, ci):
         assert count_monomials_oracle(ci) == unpruned_monomial_count(ci)
@@ -330,7 +330,7 @@ class TestRepeatedDegrees:
     def test_equals_the_sum_over_every_equation(self, ci):
         assert dim_R_prime_1(ci) == sum(plain_delta_j(ci, j) for j in range(1, ci.k + 1))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(fano_complete_intersections_with_repeats())
     def test_property_equals_the_sum_over_every_equation(self, ci):
         assert dim_R_prime_1(ci) == sum(plain_delta_j(ci, j) for j in range(1, ci.k + 1))
@@ -348,7 +348,7 @@ class TestAltDimFormula:
         # spurious units here; the capped formula gives the true dimension
         assert alt_dim_formula(CompleteIntersection(4, (2, 4))) == 77
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(fano_complete_intersections())
     def test_property_equals_unpruned_sum(self, ci):
         assert alt_dim_formula(ci) == unpruned_alt_dim_formula(ci)

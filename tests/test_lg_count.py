@@ -112,7 +112,7 @@ class TestEnumerateStrata:
             expected = [c for c in unpruned_strata(ci) if c.divisors != 0]
             assert enumerate_strata(ci) == expected, ci
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(fano_complete_intersections())
     def test_property_equals_unpruned_strata_with_divisors(self, ci):
         expected = [c for c in unpruned_strata(ci) if c.divisors != 0]
@@ -158,7 +158,7 @@ class TestStrataBudget:
         with pytest.raises(BudgetExceeded, match=f"more than {cost - 1}"):
             enumerate_strata(ci)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(fano_complete_intersections(), st.data())
     def test_property_refuses_exactly_past_the_budget(self, ci, data):
         # the exact strata count decides, whether or not the uncapped bound
@@ -228,7 +228,7 @@ class TestKlgClosed:
     def test_cubic_threefold(self):
         assert k_lg_closed(CUBIC_THREEFOLD) == 5
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(fano_complete_intersections())
     def test_property_equals_the_unmerged_terms(self, ci):
         assert k_lg_closed(ci) == unmerged_k_lg_closed(ci)
@@ -247,7 +247,7 @@ class TestKlgClosed:
         # one term per distinct degree, against the terms of every j kept apart
         assert k_lg_closed(ci) == unmerged_k_lg_closed(ci)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(fano_complete_intersections_with_repeats())
     def test_property_repeated_degrees_equal_the_unmerged_terms(self, ci):
         assert k_lg_closed(ci) == unmerged_k_lg_closed(ci)
@@ -276,7 +276,7 @@ class TestMainTheorem:
     def test_two_quadrics_in_p6(self):
         assert verify_main_theorem(CompleteIntersection(4, (2, 2))).holds
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(fano_complete_intersections())
     def test_property_primitive_form_beyond_the_sweep(self, ci):
         agreed(ci)
@@ -304,7 +304,7 @@ class TestMainTheorem:
                         below += 1
         assert (checked, below) == (5484, 2700)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(fano_complete_intersections(max_k=8))
     def test_property_each_equation_at_index_two_and_up(self, ci):
         assume(ci.index >= 2)

@@ -170,12 +170,12 @@ class TestCountingFunctions:
             for s in range(0, 16):
                 assert fg_rec(d, s) == (f_closed(d, s), g_closed(d, s)), (d, s)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.integers(1, 150), st.integers(0, 150))
     def test_property_equals_plain_recursion(self, d, s):
         assert fg_rec(d, s) == (recursive_f(d, s), 1 if s == 0 else recursive_f(d - s, s))
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.integers(1, 12), st.integers(0, 10**9))
     def test_property_huge_s_small_d(self, d, s):
         # no binomial row runs to s: the root's row stops at min(s, d - 1)
@@ -420,13 +420,14 @@ class TestResolutionTrace:
             tracemalloc.stop()
         assert peak < 40 * 2**20
 
-    def test_chain_refused_by_its_distinct_charts(self):
-        # a chain of 10^8 blow-ups closes no chart before its bottom, so the
-        # tree size is known only there; its distinct charts pass the limit early
-        chart = ChartType((1,), 10**8)
+    @pytest.mark.parametrize("dbar, s", [((1,), 10**8), ((10**8,), 1), ((1, 10**8), 1)])
+    def test_chain_refused_before_the_walk(self, dbar, s):
+        # a chain of 10^8 blow-ups closes no chart before its bottom, but each
+        # level adds a node and a sibling: the tree has at least 2 * 10^8 + 1
+        chart = ChartType(dbar, s)
         with pytest.raises(BudgetExceeded, match="exceeded 1000 nodes"):
             resolution_trace(chart, node_limit=1000)
-        assert traced_peak(outcome, resolution_trace, chart, 1000) < 2**20
+        assert traced_peak(outcome, resolution_trace, chart, 1000) < 2**16
 
     def test_large_chart_equals_worklist_build(self):
         # (8, 8, 8) s = 8 lies past the range of the property tests below
@@ -455,7 +456,7 @@ class TestResolutionTrace:
         with pytest.raises(BudgetExceeded, match=f"more than {MAX_TRACE_CELLS:,} cells"):
             resolution_trace(ChartType((d,), d))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         dbar=st.lists(st.integers(1, 6), max_size=3).map(tuple),
         s=st.integers(0, 6),
@@ -471,7 +472,7 @@ class TestResolutionTrace:
         for limit in (trace.node_count, trace.node_count - 1, distinct, distinct - 1):
             assert outcome(resolution_trace, chart, limit) == outcome(worklist_trace, chart, limit)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         dbar=st.lists(st.integers(1, 6), max_size=3).map(tuple),
         s=st.integers(0, 6),

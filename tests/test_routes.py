@@ -1,6 +1,7 @@
 """The route table checked against the routes' code: two routes share exactly
 the helpers both declare, so a new shared helper fails here, and so does a
-declaration that has gone stale."""
+declaration that has gone stale; and mutants of the routes' code, each of
+which the comparison of the routes must catch."""
 
 import ast
 from functools import cache
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import fanolg
-from routes import COMMON, ROUTES
+from fanolg import fano_sweep, g_closed, jacobian_ring, lg_count
+from routes import COMMON, ROUTES, agreed
 
 PACKAGE = Path(fanolg.__file__).parent
 
@@ -70,3 +72,22 @@ def test_routes_share_exactly_the_declared_helpers(a, b):
 def test_each_declared_helper_is_shared_with_another_route(route):
     others = set().union(*(reach(o) for o in ROUTES if o is not route))
     assert route.shares == reach(route) & others
+
+
+@pytest.mark.parametrize(
+    "module, name, mutant",
+    [
+        # one relation short at index 1, in the helper both ring routes share
+        (jacobian_ring, "_index_one_correction", lambda ci: ci.dim + ci.k if ci.index == 1 else 0),
+        # G(4, 1) one too large in the strata listing; the closed form sums by Vandermonde
+        (lg_count, "g_closed", lambda d, s: g_closed(d, s) + ((d, s) == (4, 1))),
+    ],
+    ids=["index-one-correction-minus-1", "g_closed-4-1-plus-1"],
+)
+def test_each_mutant_is_caught(monkeypatch, module, name, mutant):
+    # on fano_sweep(8, 3, 6), which criterion 5 runs unpatched, the first
+    # mutant breaks 32 inputs and the second 21
+    monkeypatch.setattr(module, name, mutant)
+    with pytest.raises(AssertionError, match="the routes disagree"):
+        for ci in fano_sweep(8, 3, 6):
+            agreed(ci)

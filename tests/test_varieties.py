@@ -10,7 +10,7 @@ from fanolg import CompleteIntersection
 from strategies import fano_complete_intersections
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(fano_complete_intersections())
 def test_property_stored_numbers_equal_their_definitions(ci):
     k = len(ci.degrees)
