@@ -377,22 +377,35 @@ def resolution_trace(chart: ChartType, node_limit: int = DEFAULT_NODE_LIMIT) -> 
     copy the tree holds besides the first), and the build fails with
     ``BudgetExceeded`` once that bound passes ``node_limit``, before the rest
     is expanded.  Every subtree that closes is counted in the bound, and once
-    the walk ends the bound is the tree size.  A chain closes no subtree
-    before its bottom, so a starting chart is refused before the walk when its
-    x-chart chain (s levels) or its a-chart chain alone passes the limit.  The
+    the walk ends the bound is the tree size.  It fails the same way once the
+    expanded charts would store more than ``MAX_TRACE_CELLS`` cells, charged
+    ``len(dbar) + m + 2`` per expanded chart with a center of size m and
+    ``len(dbar) + 1`` per terminal chart, which bounds the memory of long
+    exponent lists.
+
+    A chain closes no subtree before its bottom, so two checks run first.  The
     a-chart keeps s and takes s off its first exponent, or drops it, so its
-    chain runs sum_t ceil(d_t / s) levels; each level adds its node and a
-    sibling, so a non-terminal chart's tree has at least
-    2 * max(s, sum_t ceil(d_t / s)) + 1 nodes.  It fails
-    the same way once the expanded charts would store more than
-    ``MAX_TRACE_CELLS`` cells, charged ``len(dbar) + m + 2`` per expanded
-    chart with a center of size m and ``len(dbar) + 1`` per terminal chart,
-    which bounds the memory of long exponent lists.  The nodes are then
-    assembled in increasing weight (pre-order among equal weights), sorted by
-    one integer per chart, ``s * (max_total + 1) + sum(dbar)`` with
-    ``max_total`` the largest ``sum(dbar)`` met, which orders as the weight
-    does; so every child node exists before its parents.  Since the weights decrease strictly, the
-    rewriting always ends; the budgets bound the work, not a termination bug.
+    chain runs sum_t ceil(d_t / s) levels, and the x-chart chain runs s
+    levels; each level adds its node and a sibling, so a non-terminal chart's
+    tree has at least lower = 2 * max(s, sum_t ceil(d_t / s)) + 1 nodes, a
+    terminal chart's 1.  The starting chart is refused when its own lower
+    passes the limit.  Then its x-chart chain, the walk's first descent, is
+    followed: per level, its node plus the lower of its a-chart, and its cells
+    plus those of the a-chart's chain, each of whose charts stores its
+    exponents and at least 3 more.  The chain lowers s by one per level and an
+    a-chart chain keeps it, so these charts are distinct and the sums are
+    lower bounds.  The cells are checked at every level and the nodes only at
+    the chain's bottom, so where both sums pass, the cell error is raised, as
+    the walk raises it for long exponent lists.  ``L((400000); s=2)``, whose
+    x-chart runs an a-chart chain of 799,998 levels, is refused at once, and
+    the chain costs at most the cells the walk would charge for it.
+
+    The nodes are then assembled in increasing weight (pre-order among equal
+    weights), sorted by one integer per chart, ``s * (max_total + 1) +
+    sum(dbar)`` with ``max_total`` the largest ``sum(dbar)`` met, which orders
+    as the weight does; so every child node exists before its parents.  Since
+    the weights decrease strictly, the rewriting always ends; the budgets
+    bound the work, not a termination bug.
     """
     chart = _entering(chart)
     if node_limit < 1:
@@ -401,10 +414,35 @@ def resolution_trace(chart: ChartType, node_limit: int = DEFAULT_NODE_LIMIT) -> 
     def exceeded() -> BudgetExceeded:
         return BudgetExceeded(f"resolution trace from {chart} exceeded {node_limit} nodes")
 
+    def too_many_cells() -> BudgetExceeded:
+        return BudgetExceeded(
+            f"resolution trace from {chart} would store more than {MAX_TRACE_CELLS:,} cells"
+        )
+
     # the x-chart chain runs s levels and the a-chart chain sum_t ceil(d_t / s),
     # each level adding its node and a sibling: a chain too long is refused unwalked
     dbar, s = chart
     if dbar and s and 2 * max(s, sum(-(-d // s) for d in dbar)) + 1 > node_limit:
+        raise exceeded()
+    # down the x-chart chain: per level its node and the lower bound of its
+    # a-chart's tree, its cells and those of the a-chart's chain; the bottom
+    # stores at least one cell
+    nodes = cells = 1
+    while dbar and s:
+        m, (a_dbar, _), x_chart = _blow_up(dbar, s)
+        cells += len(dbar) + m + 3
+        if a_dbar:
+            # per exponent, the levels of the a-chart chain, each storing the
+            # exponents left and 3 more
+            levels = [-(-d // s) for d in a_dbar]
+            nodes += 2 + 2 * max(s, sum(levels))
+            cells += sum(map(mul, levels, range(len(levels) + 3, 3, -1)))
+        else:
+            nodes += 2
+        if cells > MAX_TRACE_CELLS:
+            raise too_many_cells()
+        dbar, s = x_chart
+    if nodes > node_limit:
         raise exceeded()
 
     # per id: the chart, its blow-up step (None when terminal or not yet
@@ -460,9 +498,7 @@ def resolution_trace(chart: ChartType, node_limit: int = DEFAULT_NODE_LIMIT) -> 
             sizes[i] = 1
             cells += len(dbar) + 1
         if cells > MAX_TRACE_CELLS:
-            raise BudgetExceeded(
-                f"resolution trace from {chart} would store more than {MAX_TRACE_CELLS:,} cells"
-            )
+            raise too_many_cells()
     node_count = sizes[0]
     del ids, sizes
 

@@ -5,11 +5,16 @@ failed verification) and the digest of what the line prints: the first 16 hex
 digits of the sha256 of ``repr((exit, stdout, stderr))`` at 80 columns.
 ``test_answers.py`` runs every row through ``fanolg.cli.main``.  It requires
 the row's exit code, an empty stderr, the row's digest and the same output
-from the full parser, and it checks each JSON payload, and each CSV row, against
-a second route to its values.  It also requires a row for every view of every
-command, a JSON twin for every other view of a command that has a JSON view,
-and a row for every line of the README's command-line block.  The refused
-lines are the rows of ``refusals.py``.
+from the full parser, each within ``seconds`` of wall time where the row gives
+it, and it checks each JSON payload, and each CSV row, against a second route
+to its values.  It also requires a row for every view of every command, a
+JSON twin for every other view of a command that has a JSON view, and a row
+for every line of the README's command-line block.  A row that gives
+``address_space`` (a cap in bytes) or ``peak`` (a tracemalloc peak in bytes)
+also runs in a fresh interpreter under that cap, and must keep its digest,
+``seconds`` and ``peak`` there, which ``test_bounds.py`` checks for these
+rows and those of ``refusals.py``.  The refused lines are the rows of
+``refusals.py``.
 """
 
 from typing import NamedTuple
@@ -21,6 +26,9 @@ class Answer(NamedTuple):
     line: str
     code: int
     digest: str
+    seconds: float | None = None
+    address_space: int | None = None
+    peak: int | None = None
 
 
 ANSWERS = [
@@ -72,6 +80,15 @@ ANSWERS = [
     Answer("klg --dim 3 --degrees 2 --strata --format json", 0, "279fe800b015e04b"),
     Answer("verify --dim 4 --degrees 2,2", 0, "bbc6f869fdb0e21e"),
     Answer("verify --dim 4 --degrees 2,2 --format json", 0, "58a900726f794141"),
+    # whole rows C(d, 0..d - 1) at these degrees took seconds and then passed
+    # the cap: index 200,002 lists no label, so no binomial row is built, and
+    # the one stratum (899999, 900000 | j = 2, i = (0, 0)) reads only C(d, 0)
+    Answer("verify --dim 400000 --degrees 200000", 0, "d400b9cdf48038c6",
+           seconds=1, address_space=2**30),
+    Answer("verify --dim 400000 --degrees 200000 --format json", 0, "8a7cbcb02849eeac"),
+    Answer("verify --dim 2699996 --degrees 899999,900000", 0, "3f1b3d097b15a470",
+           seconds=1, address_space=2**30),
+    Answer("verify --dim 2699996 --degrees 899999,900000 --format json", 0, "d92988a60024b8e6"),
     # the default order is 3 * index
     Answer("periods --dim 3 --degrees 2", 0, "ef90fd325810396a"),
     Answer("periods --dim 3 --degrees 2 --format json", 0, "09427fd22d7618f6"),
@@ -83,6 +100,15 @@ ANSWERS = [
     Answer("periods --dim 3 --degrees 3 --order 0", 0, "ea4b92084a2d75d6"),
     Answer("periods --dim 3 --degrees 3 --order 0 --format json", 0, "7fb16433be1a7d16"),
     Answer("periods --dim 3 --degrees 3 --order 4 --format json", 0, "3debc530574c806b"),
+    # f would have C(23, 11) + 1 = 1,352,079 terms, and building it took
+    # seconds and hundreds of MB; the constant term of f^0 is 1 regardless
+    Answer("periods --dim 12 --degrees 12 --order 0", 0, "ae59192726d727a9",
+           seconds=1, address_space=2**29),
+    Answer("periods --dim 12 --degrees 12 --order 0 --format json", 0, "2786e2197c5ce4ac"),
+    # 1,000 variables, 999 of them interchangeable: the orbit search once
+    # rebuilt every term through a full permutation per swap, about a minute
+    Answer("periods --dim 1000 --degrees 2 --order 1 --format json", 0, "b161eb9ac781faa8",
+           seconds=5, address_space=2**29),
     # constant terms past 2**53
     Answer("periods --dim 3 --degrees 3 --order 20", 0, "5c40d3cbb462aa0a"),
     Answer("periods --dim 3 --degrees 3 --order 20 --format json", 0, "93fd763c32fc95be"),
@@ -92,6 +118,9 @@ ANSWERS = [
     # one state per level of d, far past Python's recursion limit
     Answer("fg --d 3000 --s 1", 0, "3aff95f692e2c93d"),
     Answer("fg --d 3000 --s 1 --format json", 0, "dad8672c1aaea1ea"),
+    # 499,999 levels of one state each: the cap holds a few of their vectors
+    # at a time, not one container per level
+    Answer("fg --d 499999 --s 1 --format json", 0, "5b65fa9fdef8529b", address_space=2**27),
     Answer("fg --d 10 --s 100000000 --format json", 0, "121e372ed61ab12a"),
     # F(120, 120) past 2**53
     Answer("fg --d 120 --s 120 --format json", 0, "308a774465767a36"),
@@ -107,4 +136,14 @@ ANSWERS = [
     Answer("sweep --max-dim 4 --max-k 2 --max-degree 3", 0, "241e7991a0f9fe26"),
     Answer("sweep --max-dim 5 --max-k 2 --max-degree 4", 0, "260f5b7b3cc04553"),
     Answer("sweep --max-dim 8 --max-k 3 --max-degree 6", 0, "3ace3f88064e5299"),
+    # 9 rows, out of about 4.8 * 10^12 nondecreasing tuples of up to 14
+    # degrees in [2, 40]: the listing must not walk them
+    Answer("sweep --max-dim 3 --max-k 14 --max-degree 40", 0, "832c1db4306e08a4", seconds=1),
+    # k degrees of at least 2 need k <= dim, so a million equations list the
+    # rows of three; walking every k to the bound took 36 s at 10,000
+    *[
+        Answer(f"sweep --max-dim 3 --max-k {max_k} --max-degree 2", 0, "c28e88dee66b17e3",
+               seconds=1)
+        for max_k in (1000000, 3)
+    ],
 ]

@@ -10,7 +10,8 @@ import fanolg
 
 # fanolg.cli.main(argv) under an optional address-space cap, timed from the
 # call, with tracemalloc started just before it when asked; the status line
-# after its output is "exit seconds peak", the peak 0 when untraced
+# "exit seconds peak" follows its output on a line of its own, the peak 0 when
+# untraced
 MAIN = """\
 import resource, sys, time, tracemalloc
 cap, traced, *argv = sys.argv[1:]
@@ -21,7 +22,7 @@ if int(traced):
     tracemalloc.start()
 start = time.perf_counter()
 code = main(argv)
-print(code, time.perf_counter() - start, tracemalloc.get_traced_memory()[1])
+print(f"\\n{code} {time.perf_counter() - start} {tracemalloc.get_traced_memory()[1]}")
 """
 
 
@@ -31,18 +32,21 @@ def environment():
     return {**os.environ, "PYTHONPATH": path, "COLUMNS": "80"}
 
 
-def python(*args):
-    """``python *args``, with stdout and stderr captured as text."""
+def python(*args, timeout=60):
+    """``python *args``, with stdout and stderr captured as text, stopped
+    after ``timeout`` seconds."""
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=environment(), timeout=60
+        [sys.executable, *args], capture_output=True, text=True, env=environment(),
+        timeout=timeout,
     )
 
 
-def timed_main(*argv, address_space=0, traced=False):
-    """(exit, seconds, traced peak in bytes, the lines ``main`` printed, stderr)
-    of ``fanolg.cli.main(argv)``, under an address-space cap of
-    ``address_space`` bytes unless it is 0."""
-    done = python("-c", MAIN, str(address_space), str(int(traced)), *argv)
-    *lines, status = done.stdout.splitlines()
+def timed_main(*argv, address_space=0, traced=False, timeout=60):
+    """(exit, seconds, traced peak in bytes, stdout, stderr) of
+    ``fanolg.cli.main(argv)``, under an address-space cap of ``address_space``
+    bytes unless it is 0, stopped after ``timeout`` seconds."""
+    done = python("-c", MAIN, str(address_space), str(int(traced)), *argv, timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    out, _, status = done.stdout[:-1].rpartition("\n")
     code, seconds, peak = status.split()
-    return int(code), float(seconds), int(peak), lines, done.stderr
+    return int(code), float(seconds), int(peak), out, done.stderr

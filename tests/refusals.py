@@ -3,7 +3,10 @@
 A row gives the line (its words split at spaces), the exit code (2 for invalid
 input, 3 for an exceeded work budget) and the whole stderr at 80 columns.  An
 exit-3 row also names the budget it exceeds, as ``module.NAME`` in ``fanolg``.
-``seconds``, where given, bounds the in-process wall time of the refusal.
+``seconds``, where given, bounds the wall time of the refusal.  A row that
+gives ``address_space`` (a cap in bytes) or ``peak`` (a tracemalloc peak in
+bytes) also runs in a fresh interpreter under that cap, which
+``test_bounds.py`` checks.
 ``test_refusals.py`` runs every row through ``fanolg.cli.main``, and
 ``test_package.py`` requires each module-level ``MAX_*`` constant of the package
 to be named by a row, so a new budget comes with a line that exceeds it.
@@ -28,6 +31,8 @@ class Refusal(NamedTuple):
     stderr: str
     budget: str | None = None
     seconds: float | None = None
+    address_space: int | None = None
+    peak: int | None = None
 
 
 REFUSALS = [
@@ -128,10 +133,12 @@ REFUSALS = [
     Refusal(f"klg --dim {NINES} --degrees {NINES}", 3,
             f"error: the strata of 1 equation(s) with degrees of up to 14,285 bits {STRATA}\n",
             "lg_count.MAX_STRATA_COST"),
+    # f would have C(41, 20) = 269,128,937,220 terms; the cap stops the
+    # interpreter early should the count ever come after the terms
     Refusal("periods --dim 20 --degrees 21", 3, (
         "error: the mirror polynomial of 1 equation(s) with degrees of up to 5 bits"
         " would have more than 20,000,000 terms\n"
-    ), "givental.MAX_TERM_PRODUCTS"),
+    ), "givental.MAX_TERM_PRODUCTS", seconds=1, address_space=2**29, peak=2**20),
     Refusal("periods --dim 6 --degrees 7 --order 7", 3, (
         "error: constant-term expansion to order 7 would form more than 20,000,000 term"
         " products by power 3\n"
@@ -161,6 +168,16 @@ REFUSALS = [
         ), "resolution.DEFAULT_NODE_LIMIT", seconds=1)
         for dbar, s in (("1", 100000000), ("100000000", 1), ("1,100000000", 1))
     ],
+    # its x-chart L((400000, 399998); s=1) runs an a-chart chain of 799,998
+    # levels, which the walk met only after 3 s and 300 MB
+    Refusal("resolve-trace --dbar 400000 --s 2", 3,
+            "error: resolution trace from L((400000); s=2) exceeded 1000000 nodes\n",
+            "resolution.DEFAULT_NODE_LIMIT", seconds=1, address_space=2**28),
+    # the tree passes 1,000,000 nodes long before the root's subtree closes,
+    # and a build that waits for it outgrows the cap
+    Refusal("resolve-trace --dbar 40,1,1 --s 7", 3,
+            "error: resolution trace from L((40, 1, 1); s=7) exceeded 1000000 nodes\n",
+            "resolution.DEFAULT_NODE_LIMIT", address_space=2**28),
     Refusal("resolve-trace --dbar 12,12,12 --s 12", 3,
             "error: resolution trace from L((12, 12, 12); s=12) exceeded 1000000 nodes\n",
             "resolution.DEFAULT_NODE_LIMIT"),

@@ -5,7 +5,8 @@ renders back to its text and equals, with every int as its decimal string,
 the payload a second route computes from the row's arguments, so every number
 is a canonical decimal string, exact far past the 53 bits a JSON number keeps
 in most readers.  Each CSV row of ``sweep`` agrees with the routes, and
-``hodge`` text keeps its colons in one column."""
+``hodge`` text keeps its colons in one column.  Each row's ``seconds`` bounds
+the wall time of its first run."""
 
 import json
 from math import comb, prod
@@ -145,9 +146,10 @@ def check_sweep_csv(out):
 def test_answer(capsys, monkeypatch, row):
     monkeypatch.setenv("COLUMNS", "80")
     words = row.line.split()
-    code, out, err = result = run_both_parsers(capsys, monkeypatch, *words)
+    (code, out, err), seconds = run_both_parsers(capsys, monkeypatch, *words)
     assert (code, err) == (row.code, "")
-    assert digest(result) == row.digest
+    assert digest((code, out, err)) == row.digest
+    assert row.seconds is None or seconds < row.seconds
     command, view, _ = parsed(words)
     if view == "json":
         payload = json.loads(out)

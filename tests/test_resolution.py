@@ -420,10 +420,14 @@ class TestResolutionTrace:
             tracemalloc.stop()
         assert peak < 40 * 2**20
 
-    @pytest.mark.parametrize("dbar, s", [((1,), 10**8), ((10**8,), 1), ((1, 10**8), 1)])
+    @pytest.mark.parametrize(
+        "dbar, s", [((1,), 10**8), ((10**8,), 1), ((1, 10**8), 1), ((400,), 2)]
+    )
     def test_chain_refused_before_the_walk(self, dbar, s):
         # a chain of 10^8 blow-ups closes no chart before its bottom, but each
-        # level adds a node and a sibling: the tree has at least 2 * 10^8 + 1
+        # level adds a node and a sibling: the tree has at least 2 * 10^8 + 1;
+        # L((400); s=2) passes that bound, but its x-chart L((400, 398); s=1)
+        # runs an a-chart chain of 797 levels
         chart = ChartType(dbar, s)
         with pytest.raises(BudgetExceeded, match="exceeded 1000 nodes"):
             resolution_trace(chart, node_limit=1000)
@@ -449,6 +453,26 @@ class TestResolutionTrace:
         done = fresh.python("-c", script)
         assert done.returncode == 0, done.stderr
         assert int(done.stdout) < 1.95 * 2**20
+
+    def test_bounds_before_the_walk_refuse_no_trace_within_both_budgets(self, monkeypatch):
+        # every chart with up to 3 exponents of at most 4 and s <= 6, at its
+        # own tree size and cells, which the walk charges exactly: one cell
+        # fewer is refused
+        charts = [
+            ChartType(dbar, s)
+            for k in range(4) for dbar in product(range(1, 5), repeat=k) for s in range(7)
+        ]
+        # each trace built under the shipped budget, before any is patched
+        for chart, trace in [(chart, resolution_trace(chart)) for chart in charts]:
+            cells = sum(
+                len(c.dbar) + (1 if c.is_terminal else min(c.s, c.dbar[0]) + 2)
+                for c in (node.chart for node in trace.nodes)
+            )
+            monkeypatch.setattr(resolution, "MAX_TRACE_CELLS", cells)
+            assert resolution_trace(chart, trace.node_count).node_count == trace.node_count
+            monkeypatch.setattr(resolution, "MAX_TRACE_CELLS", cells - 1)
+            with pytest.raises(BudgetExceeded, match="cells"):
+                resolution_trace(chart, trace.node_count)
 
     @pytest.mark.parametrize("d", [300, 2000, 99999])
     def test_cell_budget(self, d):

@@ -1,7 +1,8 @@
 """The route table checked against the routes' code: two routes share exactly
 the helpers both declare, so a new shared helper fails here, and so does a
 declaration that has gone stale; and mutants of the routes' code, each of
-which the comparison of the routes must catch."""
+which the comparison of the routes must catch, one entry of the shared
+``binomial`` at a time among them."""
 
 import ast
 from functools import cache
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import fanolg
-from fanolg import fano_sweep, g_closed, jacobian_ring, lg_count
+from fanolg import fano_sweep, g_closed, jacobian_ring, lg_count, resolution
+from fanolg.exactmath import binomial
 from routes import COMMON, ROUTES, agreed
 
 PACKAGE = Path(fanolg.__file__).parent
@@ -91,3 +93,38 @@ def test_each_mutant_is_caught(monkeypatch, module, name, mutant):
     with pytest.raises(AssertionError, match="the routes disagree"):
         for ci in fano_sweep(8, 3, 6):
             agreed(ci)
+
+
+# the modules that call binomial by their own name, the routes' and g_closed's
+BINOMIAL_USERS = (jacobian_ring, lg_count, resolution)
+# the entries that enter only the strata budget estimate, which no route reads
+UNSEEN_BINOMIALS = {(6, 1), (6, 2), (7, 2), (7, 3), (8, 3)}
+
+
+def test_each_binomial_entry_the_routes_form_is_seen(monkeypatch):
+    # every (n, k) binomial forms while the routes run over fano_sweep(8, 3, 6),
+    # then each made one too large in every module at once (65 entries)
+    sweep, formed = list(fano_sweep(8, 3, 6)), set()
+
+    def recording(n, k):
+        formed.add((n, k))
+        return binomial(n, k)
+
+    def patch(function):
+        for module in BINOMIAL_USERS:
+            monkeypatch.setattr(module, "binomial", function)
+
+    patch(recording)
+    for ci in sweep:
+        agreed(ci)
+    unseen = set()
+    for entry in formed:
+        patch(lambda n, k: binomial(n, k) + ((n, k) == entry))
+        try:
+            for ci in sweep:
+                agreed(ci)
+        except AssertionError as exc:
+            assert "the routes disagree" in str(exc)
+        else:
+            unseen.add(entry)
+    assert unseen == UNSEEN_BINOMIALS
