@@ -59,16 +59,8 @@ class LaurentPolynomial:
                 clean[exponents] = coeff
         self.terms = clean
 
-    def coefficient(self, exponents: tuple[int, ...]) -> int:
-        return self.terms.get(tuple(exponents), 0)
-
     def term_count(self) -> int:
         return len(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial(arity={self.arity}, terms={len(self.terms)})"

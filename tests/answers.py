@@ -15,9 +15,17 @@ also runs in a fresh interpreter under that cap, and must keep its digest,
 ``seconds`` and ``peak`` there, which ``test_bounds.py`` checks for these
 rows and those of ``refusals.py``.  The refused lines are the rows of
 ``refusals.py``.
+
+Below the table are the helpers that read its rows: ``digest``, which defines
+the digest column, ``run`` and ``run_both_parsers``, which run a line, and
+``stringify``, the reference for the JSON payloads.
 """
 
+import hashlib
+import time
 from typing import NamedTuple
+
+from fanolg import cli
 
 QUADRICS = ",".join(["2"] * 20)
 
@@ -147,3 +155,58 @@ ANSWERS = [
         for max_k in (1000000, 3)
     ],
 ]
+
+
+def digest(result):
+    """The first 16 hex digits of the sha256 of ``repr(result)``."""
+    return hashlib.sha256(repr(result).encode()).hexdigest()[:16]
+
+
+def run(capsys, *argv):
+    """(exit, stdout, stderr) of one command line, argparse exits included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+COMMANDS = ("hodge", "klg", "verify", "periods", "fg", "resolve-trace", "sweep")
+
+
+def run_both_parsers(capsys, monkeypatch, *argv):
+    """``run`` of one command line, which must build the parser of the
+    subcommand it names and no other (the full parser for a line that names
+    none) and print the same as it does with the full parser; with the wall
+    time of the first run."""
+    built = []
+    build = cli._build_parser
+
+    def recording(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "_build_parser", recording)
+    start = time.perf_counter()
+    shipped = run(capsys, *argv)
+    seconds = time.perf_counter() - start
+    assert built == [argv[0] if argv and argv[0] in COMMANDS else None]
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
+    assert run(capsys, *argv) == shipped
+    monkeypatch.setattr(cli, "_build_parser", build)
+    return shipped, seconds
+
+
+def stringify(obj):
+    """Every int of a payload as a decimal string (bools excluded): with
+    ``json.dumps(..., indent=2)``, the reference for ``_render_json``."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, (list, tuple)):
+        return [stringify(x) for x in obj]
+    if isinstance(obj, dict):
+        return {key: stringify(value) for key, value in obj.items()}
+    return obj

@@ -10,8 +10,11 @@ bytes) also runs in a fresh interpreter under that cap, which
 ``test_refusals.py`` runs every row through ``fanolg.cli.main``, and
 ``test_package.py`` requires each module-level ``MAX_*`` constant of the package
 to be named by a row, so a new budget comes with a line that exceeds it.
+
+``line_id`` and ``row_id`` name a line, and a row of either table, as a test.
 """
 
+import re
 from typing import NamedTuple
 
 NINES = "9" * 4300  # the longest int that str() prints by default
@@ -33,6 +36,15 @@ class Refusal(NamedTuple):
     seconds: float | None = None
     address_space: int | None = None
     peak: int | None = None
+
+
+def line_id(line):
+    # "9" * 4300 reads as 9*4300
+    return re.sub(r"(\d)\1{19,}", lambda m: f"{m[1]}*{len(m[0])}", line) or "no arguments"
+
+
+def row_id(row):
+    return line_id(row.line)
 
 
 REFUSALS = [

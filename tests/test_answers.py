@@ -15,10 +15,9 @@ from pathlib import Path
 import pytest
 
 from fanolg import ChartType, CompleteIntersection, chart_children, cli, i_series, jacobian_ring
-from answers import ANSWERS
+from answers import ANSWERS, digest, run_both_parsers, stringify
+from refusals import row_id
 from routes import agreed
-from test_cli import digest, run_both_parsers, stringify
-from test_refusals import row_id
 
 
 def parsed(words):

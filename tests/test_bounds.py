@@ -12,10 +12,8 @@ from pathlib import Path
 import pytest
 
 import fresh
-from answers import ANSWERS, Answer
-from refusals import REFUSALS
-from test_cli import digest
-from test_refusals import row_id
+from answers import ANSWERS, Answer, digest
+from refusals import REFUSALS, row_id
 
 BOUNDED = [row for row in (*ANSWERS, *REFUSALS) if row.address_space or row.peak]
 

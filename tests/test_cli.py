@@ -6,7 +6,6 @@ bounds of command lines are fields of those tables' rows, which
 ``test_bounds.py`` checks in a fresh interpreter."""
 
 import dataclasses
-import hashlib
 import json
 import re
 import subprocess
@@ -25,27 +24,11 @@ from fanolg import (
     i_series,
     verify_main_theorem,
 )
-from fanolg.cli import _render_json, main
+from fanolg.cli import _render_json
 import fresh
-from answers import ANSWERS
-from refusals import REFUSALS
+from answers import ANSWERS, COMMANDS, digest, run, run_both_parsers, stringify
+from refusals import REFUSALS, line_id
 from routes import RING, agreed
-from test_refusals import line_id
-
-
-def run(capsys, *argv):
-    """(exit, stdout, stderr) of one command line, argparse exits included."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def digest(result):
-    """The first 16 hex digits of the sha256 of ``repr(result)``."""
-    return hashlib.sha256(repr(result).encode()).hexdigest()[:16]
 
 
 class TestPeriods:
@@ -154,20 +137,6 @@ class TestWholeAnswers:
         assert (code, out, err) == (3, "", "error: injected\n")
 
 
-def stringify(obj):
-    """Every int of a payload as a decimal string (bools excluded): with
-    ``json.dumps(..., indent=2)``, the reference for ``_render_json``."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, (list, tuple)):
-        return [stringify(x) for x in obj]
-    if isinstance(obj, dict):
-        return {key: stringify(value) for key, value in obj.items()}
-    return obj
-
-
 # quotes, backslashes, control characters and non-ASCII text, among any others
 awkward_text = st.text(
     st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600') | st.characters()
@@ -197,32 +166,6 @@ class TestRenderJson:
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             _render_json({"x": 1.5})
-
-
-COMMANDS = ("hodge", "klg", "verify", "periods", "fg", "resolve-trace", "sweep")
-
-
-def run_both_parsers(capsys, monkeypatch, *argv):
-    """``run`` of one command line, which must build the parser of the
-    subcommand it names and no other (the full parser for a line that names
-    none) and print the same as it does with the full parser; with the wall
-    time of the first run."""
-    built = []
-    build = cli._build_parser
-
-    def recording(command=None):
-        built.append(command)
-        return build(command)
-
-    monkeypatch.setattr(cli, "_build_parser", recording)
-    start = time.perf_counter()
-    shipped = run(capsys, *argv)
-    seconds = time.perf_counter() - start
-    assert built == [argv[0] if argv and argv[0] in COMMANDS else None]
-    monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
-    assert run(capsys, *argv) == shipped
-    monkeypatch.setattr(cli, "_build_parser", build)
-    return shipped, seconds
 
 
 class TestOneSubparser:

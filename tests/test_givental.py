@@ -1,6 +1,5 @@
 """Tests for the mirror polynomial, the expansion engine, and the period check."""
 
-import random
 import time
 from itertools import permutations, product
 from math import comb, factorial, prod
@@ -149,7 +148,6 @@ class TestBuildFx:
         assert f.arity == 2
         assert f.terms == trinomial_cubic_expansion()
         assert f.term_count() == 10
-        assert f.coefficient((0, 0)) == 6
 
     def test_quadric_threefold_structure(self):
         f = build_fx(QUADRIC_THREEFOLD)
@@ -196,29 +194,6 @@ class TestBuildFx:
 
 
 class TestConstantTerm:
-    def test_zeroth_power(self):
-        assert phi_series(build_fx(CUBIC_SURFACE), 0).coefficients[0] == 1
-
-    def test_first_power_cubic_surface(self):
-        assert phi_series(build_fx(CUBIC_SURFACE), 1).coefficients[1] == 6
-
-    def test_square_cubic_threefold(self):
-        assert phi_series(build_fx(CUBIC_THREEFOLD), 2).coefficients[2] == 12
-        assert factorial(2) * factorial(3) // factorial(1) ** 5 == 12
-
-    def test_agrees_with_unpruned_power(self):
-        rng = random.Random(20240817)
-        for _ in range(5):
-            arity = rng.randint(1, 3)
-            terms = {}
-            for _ in range(rng.randint(2, 5)):
-                e = tuple(rng.randint(-2, 2) for _ in range(arity))
-                terms[e] = rng.randint(-3, 3)
-            f = LaurentPolynomial(arity, terms)
-            powers = unpruned_powers(f, 4)
-            for n in range(5):
-                assert phi_series(f, n).coefficients[n] == powers[n].get((0,) * arity, 0)
-
     @settings(max_examples=150)
     @given(laurent_polynomials(), st.integers(0, 8))
     def test_property_agrees_with_unpruned_power(self, f, order):
@@ -400,10 +375,6 @@ class TestTermOrbits:
 
 
 class TestPhiSeries:
-    def test_order_zero(self):
-        series = phi_series(build_fx(QUADRIC_THREEFOLD), 0)
-        assert series.coefficients == (1,)
-
     def test_cubic_surface_against_factorial_oracle(self):
         series = phi_series(build_fx(CUBIC_SURFACE), 3)
         expected = tuple(factorial(3 * m) // factorial(m) ** 3 for m in range(4))
@@ -416,18 +387,8 @@ class TestPhiSeries:
             expected[2 * m] = factorial(2 * m) * factorial(3 * m) // factorial(m) ** 5
         assert series.coefficients == tuple(expected) == (1, 0, 12, 0, 540)
 
-    def test_leading_coefficient_is_one(self):
-        for ci in fano_sweep(4, 2, 3):
-            assert phi_series(build_fx(ci), 2).coefficients[0] == 1
-
 
 class TestISeries:
-    def test_cubic_threefold(self):
-        assert i_series(CUBIC_THREEFOLD, 2).coefficients == (1, 0, 12)
-
-    def test_cubic_surface(self):
-        assert i_series(CUBIC_SURFACE, 2).coefficients == (1, 6, 90)
-
     def test_index_zero_coefficient(self):
         for ci in fano_sweep(5, 2, 4):
             assert i_series(ci, 0).coefficients == (1,)

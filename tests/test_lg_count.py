@@ -21,7 +21,6 @@ from fanolg import (
     hodge_h1,
     k_lg,
     k_lg_closed,
-    verify_main_theorem,
 )
 from fanolg import lg_count
 from routes import agreed
@@ -203,13 +202,6 @@ class TestKlg:
         assert report.k_lg == 5
         assert report.branch == "l_positive"
 
-    def test_cubic_fourfold(self):
-        assert k_lg(CUBIC_FOURFOLD).k_lg == 1
-
-    def test_high_dimensional_cubics(self):
-        for dim in range(5, 9):
-            assert k_lg(CompleteIntersection(dim, (3,))).k_lg == 0
-
     def test_quartic_threefold(self):
         report = k_lg(QUARTIC_THREEFOLD)
         assert report.k_lg == 30
@@ -222,12 +214,6 @@ class TestKlg:
 
 
 class TestKlgClosed:
-    def test_cubic_surface(self):
-        assert k_lg_closed(CUBIC_SURFACE) == 6
-
-    def test_cubic_threefold(self):
-        assert k_lg_closed(CUBIC_THREEFOLD) == 5
-
     @settings(max_examples=200)
     @given(fano_complete_intersections())
     def test_property_equals_the_unmerged_terms(self, ci):
@@ -263,19 +249,6 @@ class TestKlgClosed:
 
 
 class TestMainTheorem:
-    def test_cubic_surface(self):
-        report = verify_main_theorem(CUBIC_SURFACE)
-        assert report.holds
-        assert (report.h, report.k_lg) == (7, 6)
-
-    def test_cubic_threefold(self):
-        report = verify_main_theorem(CUBIC_THREEFOLD)
-        assert report.holds
-        assert report.h == report.k_lg == 5
-
-    def test_two_quadrics_in_p6(self):
-        assert verify_main_theorem(CompleteIntersection(4, (2, 2))).holds
-
     @settings(max_examples=200)
     @given(fano_complete_intersections())
     def test_property_primitive_form_beyond_the_sweep(self, ci):

@@ -1,5 +1,7 @@
-"""The package's public API, as ``fanolg.__init__`` states it, and its budget
-constants, as the README states them and as the refusal table exceeds them."""
+"""The package's public API, as ``fanolg.__init__`` states it and as the
+README's library block uses it, and its budget constants, as the README states
+them and as the refusal table exceeds them; and the test modules, which share
+helpers only through the modules that are not tests."""
 
 import ast
 import importlib
@@ -12,6 +14,7 @@ from refusals import REFUSALS
 
 PACKAGE = Path(fanolg.__file__).resolve().parent
 README = PACKAGE.parent.parent / "README.md"
+TESTS = Path(__file__).resolve().parent
 # each module-level MAX_* assignment, as (name, module)
 BUDGETS = {
     (target.id, path.stem)
@@ -35,6 +38,21 @@ def test_all_names_every_public_import():
     assert len(fanolg.__all__) == len(set(fanolg.__all__))
 
 
+def test_every_readme_library_value():
+    # each line of the library block runs, and a "# value" comment is the
+    # repr of its line's expression
+    block = README.read_text().split("## Library", 1)[1].split("```python\n", 1)[1]
+    namespace, values = {}, []
+    for line in block.split("```", 1)[0].splitlines():
+        code, _, value = line.partition("#")
+        if value:
+            assert repr(eval(code, namespace)) == value.strip(), line
+            values.append(value.strip())
+        else:
+            exec(code, namespace)
+    assert len(values) == 4
+
+
 def test_readme_names_every_budget_constant_with_its_module():
     text = README.read_text()
     named = set(re.findall(r"`(MAX_\w+)`\s+in\s+`(\w+)`", text))
@@ -49,3 +67,16 @@ def test_every_budget_constant_has_a_refusal_row():
     for budget in named:
         module, name = budget.split(".")
         assert hasattr(importlib.import_module(f"fanolg.{module}"), name), budget
+
+
+def test_no_test_module_imports_another():
+    # a helper two test modules share lives beside the table it serves
+    for path in TESTS.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.startswith("test_") for m in modules), (path.name, modules)

@@ -10,16 +10,7 @@ import time
 import pytest
 
 from fanolg.cli import main
-from refusals import REFUSALS
-
-
-def line_id(line):
-    # "9" * 4300 reads as 9*4300
-    return re.sub(r"(\d)\1{19,}", lambda m: f"{m[1]}*{len(m[0])}", line) or "no arguments"
-
-
-def row_id(row):
-    return line_id(row.line)
+from refusals import REFUSALS, row_id
 
 
 @pytest.mark.parametrize("row", REFUSALS, ids=row_id)

@@ -127,48 +127,8 @@ def traced_peak(fn, *args) -> int:
 
 
 class TestCountingFunctions:
-    def test_f_fixtures(self):
-        assert fg_rec(3, 1)[0] == 3
-        assert fg_rec(3, 2)[0] == 6
-        assert fg_rec(3, 3)[0] == 10
-
-    def test_f_base_cases(self):
-        for d in range(1, 11):
-            assert fg_rec(d, 0)[0] == 1
-
-    def test_g_fixtures(self):
-        assert fg_rec(3, 2)[1] == 1
-        assert fg_rec(3, 3)[1] == 0
-        for d in range(1, 11):
-            assert fg_rec(d, 0)[1] == 1
-
-    def test_g_vanishes_when_d_at_most_s(self):
-        for d in range(1, 12):
-            for s in range(d, 15):
-                assert fg_rec(d, s)[1] == 0
-
-    def test_g_closed_values(self):
-        assert g_closed(3, 2) == 1
-        assert g_closed(5, 1) == 4
-        assert g_closed(2, 5) == 0
-
-    def test_f_closed_values(self):
-        # chains of ordinary double points: d + 1 components in the length-one case
-        for d in range(1, 11):
-            assert f_closed(d + 1, 1) == d + 1
-        assert f_closed(3, 3) == comb(5, 3) == 10
-        for s in range(0, 11):
-            assert f_closed(1, s) == 1
-
-    def test_quadratic_family(self):
-        # F(3, s) = (s+2)(s+1)/2 for all s
-        for s in range(0, 12):
-            assert fg_rec(3, s)[0] == comb(s + 2, 2)
-
-    def test_recursion_matches_closed_form(self):
-        for d in range(1, 16):
-            for s in range(0, 16):
-                assert fg_rec(d, s) == (f_closed(d, s), g_closed(d, s)), (d, s)
+    """Criteria 2 and 3 give F and G for d, s <= 40; here are the plain
+    recursion past that range, the budget and the refusals."""
 
     @settings(max_examples=100)
     @given(st.integers(1, 150), st.integers(0, 150))
@@ -223,17 +183,7 @@ class TestCountingFunctions:
     def test_memory_of_a_large_square(self):
         assert traced_peak(fg_rec, 300, 300) < 6 * 2**20
 
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            g_closed(0, 1)
-        with pytest.raises(ValueError):
-            f_closed(2, -1)
-        # the command line prints these messages as they are
-        with pytest.raises(ValueError, match=r"^d must be >= 1, got 0$"):
-            fg_rec(0, 1)
-        with pytest.raises(ValueError, match=r"^s must be >= 0, got -1$"):
-            fg_rec(3, -1)
-
+    # the command line prints these messages as they are
     @pytest.mark.parametrize("function", [fg_rec, f_closed, g_closed])
     @pytest.mark.parametrize(
         "d, s, message", [(0, 1, r"^d must be >= 1, got 0$"), (3, -1, r"^s must be >= 0, got -1$")]
@@ -364,27 +314,11 @@ class TestResolutionTrace:
         assert trace.node_count == 3
         assert all(e.node.chart.is_terminal for e in trace.root.edges)
 
-    def test_finiteness_and_terminal_leaves(self):
-        trace = resolution_trace(ChartType((3,), 3))
-        assert all(leaf.chart.is_terminal for leaf in trace.leaves())
-
-    def test_weight_decrease_along_every_edge(self):
-        for k in (1, 2):
-            for dbar in product(range(1, 5), repeat=k):
-                for s in range(0, 5):
-                    trace = resolution_trace(ChartType(dbar, s))
-                    for parent, edge in trace.iter_edges():
-                        assert edge.node.chart.weight() < parent.chart.weight()
-
     def test_x_chart_multiplicity_is_recorded(self):
         trace = resolution_trace(ChartType((4,), 3))
         a_edge, x_edge = trace.root.edges
         assert a_edge.charts == ("a1 != 0",)
         assert x_edge.charts == ("x1 != 0", "x2 != 0", "x3 != 0")
-
-    def test_node_limit(self):
-        with pytest.raises(BudgetExceeded):
-            resolution_trace(ChartType((6, 6), 4), node_limit=10)
 
     def test_terminal_root(self):
         trace = resolution_trace(ChartType((3, 2), 0))
@@ -523,42 +457,8 @@ class TestResolutionTrace:
 
 
 class TestTraceSerialization:
-    def test_json_shape(self):
-        trace = resolution_trace(ChartType((3,), 1))
-        payload = trace.to_json_dict()
-        assert payload["node_count"] == trace.node_count == 7
-        nodes, edges = payload["nodes"], payload["edges"]
-        assert [node["id"] for node in nodes] == list(range(len(trace.nodes)))
-        root = nodes[0]
-        assert root["dbar"] == [3]
-        assert root["s"] == 1
-        assert root["weight"] == [1, 3]
-        root_edges = [edge for edge in edges if edge["parent"] == 0]
-        assert {edge["stratum"] for edge in root_edges} == {"a1 = x1 = 0"}
-        assert [edge["charts"] for edge in root_edges] == [["a1 != 0"], ["x1 != 0"]]
-        assert [nodes[edge["child"]]["dbar"] for edge in root_edges] == [[2], [3, 2]]
-        json.dumps(payload)  # must be serializable as-is
-
-    def test_json_lists_each_chart_once(self):
-        trace = resolution_trace(ChartType((6, 6, 6), 6))
-        payload = trace.to_json_dict()
-        charts = [(tuple(node["dbar"]), node["s"]) for node in payload["nodes"]]
-        assert len(charts) == len(set(charts)) == 679
-        assert len(payload["edges"]) == sum(1 for _ in trace.iter_edges())
-        assert payload["node_count"] == 7231
-
-    def test_dot_output(self):
-        dot = resolution_trace(ChartType((2,), 2)).to_dot()
-        assert dot.startswith("digraph resolution_trace {")
-        assert dot.rstrip().endswith("}")
-        assert "->" in dot
-        assert 'label="dbar=(2) s=2' in dot
-
-    def test_dot_has_one_box_per_distinct_chart(self):
-        trace = resolution_trace(ChartType((6, 6, 6), 6))
-        dot = trace.to_dot()
-        assert dot.count("[label=\"dbar=") == len(trace.nodes) == 679
-        assert dot.count(" -> ") == sum(1 for _ in trace.iter_edges())
+    """The shape of the JSON and DOT forms is what the ``resolve-trace`` rows
+    of ``answers.py`` check, with a second route to every node and edge."""
 
     def test_pinned_output(self):
         # the criterion-8 family and (8, 8, 8) s = 8, the charts of the traces

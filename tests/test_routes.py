@@ -13,7 +13,7 @@ import pytest
 
 import fanolg
 from fanolg import fano_sweep, g_closed, jacobian_ring, lg_count, resolution
-from fanolg.exactmath import binomial
+from fanolg.exactmath import binomial, capped_sum_counts
 from routes import COMMON, ROUTES, agreed
 
 PACKAGE = Path(fanolg.__file__).parent
@@ -83,12 +83,21 @@ def test_each_declared_helper_is_shared_with_another_route(route):
         (jacobian_ring, "_index_one_correction", lambda ci: ci.dim + ci.k if ci.index == 1 else 0),
         # G(4, 1) one too large in the strata listing; the closed form sums by Vandermonde
         (lg_count, "g_closed", lambda d, s: g_closed(d, s) + ((d, s) == (4, 1))),
+        # one head vector too many at total 1 in the monomial count, which
+        # shares the helper with the strata budget
+        (
+            jacobian_ring,
+            "capped_sum_counts",
+            lambda caps, bound: [
+                n + (total == 1) for total, n in enumerate(capped_sum_counts(caps, bound))
+            ],
+        ),
     ],
-    ids=["index-one-correction-minus-1", "g_closed-4-1-plus-1"],
+    ids=["index-one-correction-minus-1", "g_closed-4-1-plus-1", "capped_sum_counts-1-plus-1"],
 )
 def test_each_mutant_is_caught(monkeypatch, module, name, mutant):
     # on fano_sweep(8, 3, 6), which criterion 5 runs unpatched, the first
-    # mutant breaks 32 inputs and the second 21
+    # mutant breaks 32 of its 115 inputs, the second 21 and the third 71
     monkeypatch.setattr(module, name, mutant)
     with pytest.raises(AssertionError, match="the routes disagree"):
         for ci in fano_sweep(8, 3, 6):

@@ -6,7 +6,6 @@ import pickle
 import pytest
 from hypothesis import given, settings
 
-from fanolg import CompleteIntersection
 from strategies import fano_complete_intersections
 
 
