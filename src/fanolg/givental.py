@@ -20,10 +20,9 @@ Agreement is reported, never repaired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import factorial, prod
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .exactmath import BudgetExceeded, binomial_row
 from .varieties import CompleteIntersection
@@ -66,8 +65,7 @@ class LaurentPolynomial:
         return f"LaurentPolynomial(arity={self.arity}, terms={len(self.terms)})"
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(NamedTuple):
     """Truncated power series with exact integer coefficients: the truncation
     order is ``len(coefficients) - 1``.
 
@@ -79,8 +77,7 @@ class PowerSeries:
     alpha: int = 0
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(NamedTuple):
     match: bool
     first_mismatch: int | None
     phi: PowerSeries

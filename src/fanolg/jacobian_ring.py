@@ -10,7 +10,7 @@ sum, term for term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactmath import BudgetExceeded, binomial, capped_sum_counts
 from .varieties import CompleteIntersection
@@ -25,8 +25,7 @@ from .varieties import CompleteIntersection
 MAX_INCLUSION_EXCLUSION_SUMMANDS = 1 << 20
 
 
-@dataclass(frozen=True)
-class HodgeReport:
+class HodgeReport(NamedTuple):
     """Hodge data of a complete intersection.
 
     ``h`` is h^{1, dim-1}; ``h_pr`` the primitive part, which differs from ``h``

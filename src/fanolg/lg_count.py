@@ -9,7 +9,6 @@ main comparison checks against the Hodge number h^{1,N-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter, mul
 from typing import Literal, NamedTuple
@@ -50,8 +49,7 @@ class StratumContribution(NamedTuple):
 _stratum = partial(tuple.__new__, StratumContribution)
 
 
-@dataclass(frozen=True)
-class KlgReport:
+class KlgReport(NamedTuple):
     """Central-fiber counting result.
 
     The central fiber is the only fiber of the compactified family that can be
@@ -68,8 +66,7 @@ class KlgReport:
     contributions: tuple[StratumContribution, ...]
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     holds: bool
     h: int
     h_pr: int

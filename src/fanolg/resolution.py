@@ -11,7 +11,6 @@ decreasing weight proves termination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from operator import add, itemgetter, mul
@@ -277,8 +276,7 @@ _node = partial(tuple.__new__, TraceNode)
 _edge = partial(tuple.__new__, TraceEdge)
 
 
-@dataclass(frozen=True)
-class ResolutionTrace:
+class ResolutionTrace(NamedTuple):
     """The rewriting grown from one starting chart, stored as a DAG with one
     node per distinct chart (hash-consing).
 

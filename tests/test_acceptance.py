@@ -126,6 +126,16 @@ def test_criterion_7_period_condition():
                 assert report.phi.coefficients[2] == 12
 
 
+def test_criterion_7_period_condition_over_a_family():
+    with Criterion("criterion 7: period condition to order index + 1, dim <= 8", 30.0):
+        count = 0
+        for ci in fano_sweep(8, 3, 9):
+            count += 1
+            report = verify_period(ci, ci.index + 1)
+            assert report.match, (ci, report.first_mismatch)
+        assert count == 126
+
+
 def test_criterion_8_rewriting_termination():
     with Criterion("criterion 8: rewriting termination, entries <= 6, s <= 6", 30.0):
         for k in (1, 2, 3):

@@ -5,7 +5,6 @@ subcommand and the entry point in a fresh interpreter.  The time and memory
 bounds of command lines are fields of those tables' rows, which
 ``test_bounds.py`` checks in a fresh interpreter."""
 
-import dataclasses
 import json
 import re
 import subprocess
@@ -54,7 +53,7 @@ class TestPeriods:
             closed = i_series(ci, order)
             wrong = list(closed.coefficients)
             wrong[2] += 1
-            return dataclasses.replace(closed, coefficients=tuple(wrong))
+            return closed._replace(coefficients=tuple(wrong))
 
         monkeypatch.setattr(givental, "i_series", off_at_two)
         flags = ("periods", "--dim", "3", "--degrees", "3", "--order", "4")
@@ -74,7 +73,7 @@ class TestSweep:
         def second_row_fails(ci):
             calls.append(ci)
             report = verify_main_theorem(ci)
-            return dataclasses.replace(report, holds=False) if len(calls) == 2 else report
+            return report._replace(holds=False) if len(calls) == 2 else report
 
         monkeypatch.setattr(cli, "verify_main_theorem", second_row_fails)
         code, out, err = run(capsys, "sweep", "--max-dim", "4", "--max-k", "2", "--max-degree", "3")

@@ -1,7 +1,8 @@
 """The package's public API, as ``fanolg.__init__`` states it and as the
-README's library block uses it, and its budget constants, as the README states
-them and as the refusal table exceeds them; and the test modules, which share
-helpers only through the modules that are not tests."""
+README's library block uses it, with one kind of result record, and its budget
+constants, as the README states them and as the refusal table exceeds them; and
+the test modules, which share helpers only through the modules that are not
+tests."""
 
 import ast
 import importlib
@@ -69,14 +70,33 @@ def test_every_budget_constant_has_a_refusal_row():
         assert hasattr(importlib.import_module(f"fanolg.{module}"), name), budget
 
 
+def imported_modules(path):
+    """The module each import statement of ``path`` names, one per alias."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+
+
 def test_no_test_module_imports_another():
     # a helper two test modules share lives beside the table it serves
     for path in TESTS.glob("test_*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            assert not any(m.startswith("test_") for m in modules), (path.name, modules)
+        modules = list(imported_modules(path))
+        assert not any(m.startswith("test_") for m in modules), (path.name, modules)
+
+
+def test_every_result_record_is_a_named_tuple():
+    # one kind of record; only the input type stays a dataclass, since its
+    # derived fields take no part in comparison
+    importers = {
+        path.name for path in PACKAGE.glob("*.py") if "dataclasses" in imported_modules(path)
+    }
+    assert importers == {"varieties.py"}
+    classes = [getattr(fanolg, name) for name in fanolg.__all__]
+    others = {
+        cls.__name__
+        for cls in classes
+        if isinstance(cls, type) and not (issubclass(cls, tuple) and hasattr(cls, "_fields"))
+    }
+    assert others == {"CompleteIntersection", "LaurentPolynomial", "BudgetExceeded"}

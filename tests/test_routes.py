@@ -5,6 +5,7 @@ which the comparison of the routes must catch, one entry of the shared
 ``binomial`` at a time among them."""
 
 import ast
+import inspect
 from functools import cache
 from itertools import combinations
 from pathlib import Path
@@ -58,6 +59,17 @@ def reach(route):
     return seen
 
 
+def rewritten(function, fragment, replacement):
+    """``function`` with the one occurrence of ``fragment`` in its source
+    replaced, defined over its module's namespace: a mutant of a line inside a
+    body, which no attribute patch reaches."""
+    source = inspect.getsource(function)
+    assert source.count(fragment) == 1, fragment
+    namespace = {}
+    exec(source.replace(fragment, replacement), function.__globals__, namespace)
+    return namespace[function.__name__]
+
+
 def slug(route):
     return route.name.replace(" ", "-")
 
@@ -92,12 +104,36 @@ def test_each_declared_helper_is_shared_with_another_route(route):
                 n + (total == 1) for total, n in enumerate(capped_sum_counts(caps, bound))
             ],
         ),
+        # no strict-transform correction at index 1 in the strata listing ...
+        (lg_count, "k_lg", rewritten(lg_count.k_lg, "total + ci.k - 1", "total + ci.k")),
+        # ... and in the closed form
+        (
+            lg_count,
+            "k_lg_closed",
+            rewritten(lg_count.k_lg_closed, "total - 1 if l == 0", "total if l == 0"),
+        ),
+        # block j capped at d_j - 1 like the others, so i_j = d_j - 1 is listed
+        (
+            lg_count,
+            "enumerate_strata",
+            rewritten(lg_count.enumerate_strata, "d - 2 if t == j", "d - 1 if t == j"),
+        ),
     ],
-    ids=["index-one-correction-minus-1", "g_closed-4-1-plus-1", "capped_sum_counts-1-plus-1"],
+    ids=[
+        "index-one-correction-minus-1",
+        "g_closed-4-1-plus-1",
+        "capped_sum_counts-1-plus-1",
+        "k_lg-index-one-plus-1",
+        "k_lg_closed-index-one-plus-1",
+        "enumerate_strata-cap-j-plus-1",
+    ],
 )
 def test_each_mutant_is_caught(monkeypatch, module, name, mutant):
     # on fano_sweep(8, 3, 6), which criterion 5 runs unpatched, the first
-    # mutant breaks 32 of its 115 inputs, the second 21 and the third 71
+    # mutant breaks 32 of its 115 inputs, the second 21 and the third 71; the
+    # last three break the 32 inputs of index 1 each: two change only the
+    # index-1 term, and the cap matters only where the bound d_j - 1 - l
+    # reaches d_j - 1
     monkeypatch.setattr(module, name, mutant)
     with pytest.raises(AssertionError, match="the routes disagree"):
         for ci in fano_sweep(8, 3, 6):
