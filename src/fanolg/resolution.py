@@ -12,8 +12,7 @@ decreasing weight proves termination.
 from __future__ import annotations
 
 from functools import partial
-from itertools import repeat
-from operator import add, itemgetter, mul
+from operator import mul
 from typing import Iterator, NamedTuple
 
 from .exactmath import BudgetExceeded, binomial, binomial_row
@@ -289,10 +288,12 @@ class ResolutionTrace(NamedTuple):
 
     ``node_count`` is the size of the tree, not of the DAG: the number of
     nodes the rewriting would record if every shared subtree were copied
-    out.  ``nodes`` holds each distinct chart once, the root first and every
-    parent before its children.  The iterators yield each distinct node or
-    edge once; since the weight decrease and terminality are properties of a
-    chart and its children, checking them there checks the whole tree.
+    out.  ``nodes`` holds each distinct chart once, in the reverse of the
+    order in which the depth-first walk of ``resolution_trace``, x-chart
+    first, closes their subtrees: the root first and every parent before its
+    children.  The iterators yield each distinct node or edge once; since the
+    weight decrease and terminality are properties of a chart and its
+    children, checking them there checks the whole tree.
     """
 
     nodes: tuple[TraceNode, ...]
@@ -398,12 +399,11 @@ def resolution_trace(chart: ChartType, node_limit: int = DEFAULT_NODE_LIMIT) -> 
     x-chart runs an a-chart chain of 799,998 levels, is refused at once, and
     the chain costs at most the cells the walk would charge for it.
 
-    The nodes are then assembled in increasing weight (pre-order among equal
-    weights), sorted by one integer per chart, ``s * (max_total + 1) +
-    sum(dbar)`` with ``max_total`` the largest ``sum(dbar)`` met, which orders
-    as the weight does; so every child node exists before its parents.  Since
-    the weights decrease strictly, the rewriting always ends; the budgets
-    bound the work, not a termination bug.
+    The nodes are then assembled in the order the charts closed, so every
+    child node exists before its parents, and listed in reverse: the root
+    first and every parent before its children.  Since the weights decrease
+    strictly, the rewriting always ends; the budgets bound the work, not a
+    termination bug.
     """
     chart = _entering(chart)
     if node_limit < 1:
@@ -444,12 +444,12 @@ def resolution_trace(chart: ChartType, node_limit: int = DEFAULT_NODE_LIMIT) -> 
         raise exceeded()
 
     # per id: the chart, its blow-up step (None when terminal or not yet
-    # expanded) and its tree size (0 until closed); the ids in pre-order
+    # expanded) and its tree size (0 until closed); the ids in close order
     ids = {chart: 0}
     charts = [chart]
     steps: list[tuple[int, int, int] | None] = [None]
     sizes = [0]
-    order: list[int] = []
+    closed: list[int] = []
     # the lower bound on the tree size is len(charts) plus the tree sizes of
     # the closed subtrees met again, and room is node_limit less the latter
     room = node_limit
@@ -468,8 +468,8 @@ def resolution_trace(chart: ChartType, node_limit: int = DEFAULT_NODE_LIMIT) -> 
         if step:  # met again only to close it, since no chart is its own descendant
             _, a, x = step
             sizes[i] = 1 + sizes[a] + sizes[x]
+            closed.append(i)
             continue
-        order.append(i)
         dbar, s = charts[i]
         # a chart stores len(dbar) + 1 cells, a blow-up step m + 1 more
         if dbar and s:
@@ -494,20 +494,16 @@ def resolution_trace(chart: ChartType, node_limit: int = DEFAULT_NODE_LIMIT) -> 
             cells += len(dbar) + m + 2
         else:
             sizes[i] = 1
+            closed.append(i)
             cells += len(dbar) + 1
         if cells > MAX_TRACE_CELLS:
             raise too_many_cells()
     node_count = sizes[0]
     del ids, sizes
 
-    # s * (max_total + 1) + sum(dbar) orders the charts as their weights do
-    totals = list(map(sum, map(itemgetter(0), charts)))
-    keys = list(map(add, map(mul, map(itemgetter(1), charts), repeat(max(totals) + 1)), totals))
-    order.sort(key=keys.__getitem__)
-    del totals, keys
     centers: dict[int, tuple[str, tuple[str, ...]]] = {}
     nodes: list = steps  # each step gives way to its node, built after its children's
-    for i in order:
+    for i in closed:
         step = nodes[i]
         if step is None:
             nodes[i] = _node((charts[i], ()))
@@ -519,4 +515,4 @@ def resolution_trace(chart: ChartType, node_limit: int = DEFAULT_NODE_LIMIT) -> 
         stratum, x_labels = center
         edges = (_edge((stratum, _A_LABELS, nodes[a])), _edge((stratum, x_labels, nodes[x])))
         nodes[i] = _node((charts[i], edges))
-    return ResolutionTrace(tuple(map(nodes.__getitem__, reversed(order))), node_count)
+    return ResolutionTrace(tuple(map(nodes.__getitem__, reversed(closed))), node_count)

@@ -132,15 +132,17 @@ ANSWERS = [
     Answer("fg --d 10 --s 100000000 --format json", 0, "121e372ed61ab12a"),
     # F(120, 120) past 2**53
     Answer("fg --d 120 --s 120 --format json", 0, "308a774465767a36"),
-    Answer("resolve-trace --dbar 3 --s 1", 0, "890ec581a3b5125b"),
-    Answer("resolve-trace --dbar 2,2 --s 2", 0, "cd29d1ad8b8b4e36"),
-    Answer("resolve-trace --dbar 2,2 --s 2 --format dot", 0, "7f928d0f1fb32431"),
-    Answer("resolve-trace --dbar 3,2 --s 2", 0, "b0a8d8eb0612935c"),
-    Answer("resolve-trace --dbar 3,2 --s 2 --format dot", 0, "f05512fd7917511d"),
+    # about 0.8M summands, under the budget of 1M
+    Answer("fg --d 300 --s 300 --format json", 0, "3caa4b4369d0d33a", peak=6 * 2**20),
+    Answer("resolve-trace --dbar 3 --s 1", 0, "8ec1cc075d855912"),
+    Answer("resolve-trace --dbar 2,2 --s 2", 0, "c959f8cbf94286f1"),
+    Answer("resolve-trace --dbar 2,2 --s 2 --format dot", 0, "1b59d216cac69ee6"),
+    Answer("resolve-trace --dbar 3,2 --s 2", 0, "f0da92095dd3f7ec"),
+    Answer("resolve-trace --dbar 3,2 --s 2 --format dot", 0, "3d3091b2cdb9b7dc"),
     # 679 distinct charts, 7,231 tree nodes; a limit one below is a refusal
-    Answer("resolve-trace --dbar 6,6,6 --s 6", 0, "140b17e1fa5b1e71"),
-    Answer("resolve-trace --dbar 6,6,6 --s 6 --format dot", 0, "81ce00f910bb7ed9"),
-    Answer("resolve-trace --dbar 6,6,6 --s 6 --node-limit 7231", 0, "140b17e1fa5b1e71"),
+    Answer("resolve-trace --dbar 6,6,6 --s 6", 0, "299fc6866a05bc16"),
+    Answer("resolve-trace --dbar 6,6,6 --s 6 --format dot", 0, "3ea935dde604ed88"),
+    Answer("resolve-trace --dbar 6,6,6 --s 6 --node-limit 7231", 0, "299fc6866a05bc16"),
     Answer("sweep --max-dim 4 --max-k 2 --max-degree 3", 0, "241e7991a0f9fe26"),
     Answer("sweep --max-dim 5 --max-k 2 --max-degree 4", 0, "260f5b7b3cc04553"),
     Answer("sweep --max-dim 8 --max-k 3 --max-degree 6", 0, "3ace3f88064e5299"),

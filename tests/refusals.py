@@ -155,11 +155,15 @@ REFUSALS = [
         "error: constant-term expansion to order 7 would form more than 20,000,000 term"
         " products by power 3\n"
     ), "givental.MAX_TERM_PRODUCTS"),
+    Refusal("fg --d 400 --s 400", 3,
+            "error: the recursion for F(400,400) would add more than 1,000,000 summands\n",
+            "resolution.MAX_RECURSION_SUMMANDS"),
+    # 2d - 1 summands at least, one state per level: refused before any level
     *[
-        Refusal(f"fg --d {d} --s {s}", 3,
-                f"error: the recursion for F({d},{s}) would add more than 1,000,000 summands\n",
-                "resolution.MAX_RECURSION_SUMMANDS")
-        for d, s in ((400, 400), (500001, 1), (1000000000, 1))
+        Refusal(f"fg --d {d} --s 1", 3,
+                f"error: the recursion for F({d},1) would add more than 1,000,000 summands\n",
+                "resolution.MAX_RECURSION_SUMMANDS", peak=2**20)
+        for d in (500001, 1000000000)
     ],
     Refusal("resolve-trace --dbar 6,6 --s 4 --node-limit 10", 3,
             "error: resolution trace from L((6, 6); s=4) exceeded 10 nodes\n",
@@ -190,9 +194,10 @@ REFUSALS = [
     Refusal("resolve-trace --dbar 40,1,1 --s 7", 3,
             "error: resolution trace from L((40, 1, 1); s=7) exceeded 1000000 nodes\n",
             "resolution.DEFAULT_NODE_LIMIT", address_space=2**28),
+    # the tree passes 1,000,000 nodes long before the distinct charts are all expanded
     Refusal("resolve-trace --dbar 12,12,12 --s 12", 3,
             "error: resolution trace from L((12, 12, 12); s=12) exceeded 1000000 nodes\n",
-            "resolution.DEFAULT_NODE_LIMIT"),
+            "resolution.DEFAULT_NODE_LIMIT", peak=40 * 2**20),
     Refusal("resolve-trace --dbar 99999 --s 99999", 3,
             "error: resolution trace from L((99999); s=99999) would store more than"
             " 10,000,000 cells\n",

@@ -91,25 +91,27 @@ def fg_payload(payload, args):
 def resolve_trace_payload(payload, args):
     root = ChartType(tuple(map(int, args.dbar.split(","))), args.s)
     sizes, steps = {}, {}  # per chart met: its tree size, its children with their labels
+    closed = []  # the charts as their subtrees close, the x-chart's first
 
     def tree_size(chart):
         if chart not in sizes:
             grouped = steps[chart] = {}
             for edge in [] if chart.is_terminal else chart_children(chart):
                 grouped.setdefault(edge.child, (edge.stratum, []))[1].append(edge.label)
-            sizes[chart] = 1 + sum(map(tree_size, grouped))
+            sizes[chart] = 1 + sum(map(tree_size, reversed(grouped)))
+            closed.append(chart)
         return sizes[chart]
 
     node_count = tree_size(root)
-    charts = [ChartType(tuple(map(int, n["dbar"])), int(n["s"])) for n in payload["nodes"]]
+    # the weight decreases along every edge
+    assert all(child.weight() < chart.weight() for chart in steps for child in steps[chart])
+    charts = closed[::-1]
     ids = {chart: i for i, chart in enumerate(charts)}
-    assert charts[0] == root and len(ids) == len(charts) and ids.keys() == sizes.keys()
-    edges = []
-    for i, chart in enumerate(charts):
-        for child, (stratum, labels) in steps[chart].items():
-            # the weight decreases along every edge, and each parent comes first
-            assert child.weight() < chart.weight() and i < ids[child]
-            edges.append({"parent": i, "child": ids[child], "stratum": stratum, "charts": labels})
+    edges = [
+        {"parent": i, "child": ids[child], "stratum": stratum, "charts": labels}
+        for i, chart in enumerate(charts)
+        for child, (stratum, labels) in steps[chart].items()
+    ]
     nodes = [
         {"id": i, "dbar": list(chart.dbar), "s": chart.s, "weight": list(chart.weight())}
         for i, chart in enumerate(charts)

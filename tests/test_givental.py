@@ -405,20 +405,6 @@ class TestISeries:
 
 
 class TestVerifyPeriod:
-    @pytest.mark.parametrize(
-        "ci, order",
-        [
-            (CUBIC_SURFACE, 4),
-            (CUBIC_THREEFOLD, 6),
-            (CompleteIntersection(2, (2,)), 4),
-        ],
-    )
-    def test_matches(self, ci, order):
-        report = verify_period(ci, order)
-        assert report.match
-        assert report.first_mismatch is None
-        assert report.phi.coefficients == report.i0.coefficients
-
     def test_sweep_with_divisibility(self):
         for ci in fano_sweep(5, 2, 4):
             order = 3 * ci.index
