@@ -17,15 +17,25 @@ rows and those of ``refusals.py``.  The refused lines are the rows of
 ``refusals.py``.
 
 Below the table are the helpers that read its rows: ``digest``, which defines
-the digest column, ``run`` and ``run_both_parsers``, which run a line, and
-``stringify``, the reference for the JSON payloads.
+the digest column, ``run`` and ``run_both_parsers``, which run a line,
+``stringify``, the reference for the JSON payloads, and ``recursive_trace``,
+the oracle for the ``resolve-trace`` payloads, which ``test_resolution.py``
+compares with ``resolution_trace`` too.
 """
 
 import hashlib
 import time
 from typing import NamedTuple
 
-from fanolg import cli
+from fanolg import (
+    BudgetExceeded,
+    ChartType,
+    ResolutionTrace,
+    TraceEdge,
+    TraceNode,
+    chart_children,
+    cli,
+)
 
 QUADRICS = ",".join(["2"] * 20)
 
@@ -212,3 +222,29 @@ def stringify(obj):
     if isinstance(obj, dict):
         return {key: stringify(value) for key, value in obj.items()}
     return obj
+
+
+def recursive_trace(chart: ChartType, node_limit: int = 1_000_000) -> ResolutionTrace:
+    """Oracle: the trace by memoised recursion over ``chart_children``, the
+    x-chart's subtree before the a-chart's.  Each chart's node is made as its
+    subtree closes, and the trace lists them in reverse."""
+    if node_limit < 1:
+        raise ValueError(f"node_limit must be positive, got {node_limit}")
+    closed: dict[ChartType, tuple[TraceNode, int]] = {}  # node and tree size, in close order
+
+    def close(current: ChartType) -> tuple[TraceNode, int]:
+        if current not in closed:
+            edges = [] if current.is_terminal else chart_children(current)
+            grouped: dict[ChartType, list[str]] = {}
+            for edge in edges:
+                grouped.setdefault(edge.child, []).append(edge.label)
+            size = 1 + sum(close(child)[1] for child in reversed(grouped))
+            steps = (TraceEdge(edges[0].stratum, tuple(labels), closed[child][0])
+                     for child, labels in grouped.items())
+            closed[current] = TraceNode(current, tuple(steps)), size
+        return closed[current]
+
+    node_count = close(chart)[1]
+    if node_count > node_limit:
+        raise BudgetExceeded(f"resolution trace from {chart} exceeded {node_limit} nodes")
+    return ResolutionTrace(tuple(node for node, _ in reversed(closed.values())), node_count)

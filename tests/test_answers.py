@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from fanolg import ChartType, CompleteIntersection, chart_children, cli, i_series, jacobian_ring
-from answers import ANSWERS, digest, run_both_parsers, stringify
+from fanolg import ChartType, CompleteIntersection, cli, i_series, jacobian_ring
+from answers import ANSWERS, digest, recursive_trace, run_both_parsers, stringify
 from refusals import row_id
 from routes import agreed
 
@@ -89,34 +89,21 @@ def fg_payload(payload, args):
 
 
 def resolve_trace_payload(payload, args):
-    root = ChartType(tuple(map(int, args.dbar.split(","))), args.s)
-    sizes, steps = {}, {}  # per chart met: its tree size, its children with their labels
-    closed = []  # the charts as their subtrees close, the x-chart's first
-
-    def tree_size(chart):
-        if chart not in sizes:
-            grouped = steps[chart] = {}
-            for edge in [] if chart.is_terminal else chart_children(chart):
-                grouped.setdefault(edge.child, (edge.stratum, []))[1].append(edge.label)
-            sizes[chart] = 1 + sum(map(tree_size, reversed(grouped)))
-            closed.append(chart)
-        return sizes[chart]
-
-    node_count = tree_size(root)
+    trace = recursive_trace(ChartType(tuple(map(int, args.dbar.split(","))), args.s))
+    ids = {node.chart: i for i, node in enumerate(trace.nodes)}
+    steps = [(node, edge) for node in trace.nodes for edge in node.edges]
     # the weight decreases along every edge
-    assert all(child.weight() < chart.weight() for chart in steps for child in steps[chart])
-    charts = closed[::-1]
-    ids = {chart: i for i, chart in enumerate(charts)}
-    edges = [
-        {"parent": i, "child": ids[child], "stratum": stratum, "charts": labels}
-        for i, chart in enumerate(charts)
-        for child, (stratum, labels) in steps[chart].items()
-    ]
+    assert all(edge.node.chart.weight() < node.chart.weight() for node, edge in steps)
     nodes = [
-        {"id": i, "dbar": list(chart.dbar), "s": chart.s, "weight": list(chart.weight())}
-        for i, chart in enumerate(charts)
+        {"id": i, "dbar": node.chart.dbar, "s": node.chart.s, "weight": node.chart.weight()}
+        for i, node in enumerate(trace.nodes)
     ]
-    return {"node_count": node_count, "nodes": nodes, "edges": edges}
+    edges = [
+        {"parent": ids[node.chart], "child": ids[edge.node.chart], "stratum": edge.stratum,
+         "charts": edge.charts}
+        for node, edge in steps
+    ]
+    return {"node_count": trace.node_count, "nodes": nodes, "edges": edges}
 
 
 # command -> the payload a second route computes from the parsed row

@@ -57,12 +57,6 @@ class TestCappedVectors:
 
 
 class TestBinomial:
-    def test_basic_values(self):
-        assert binomial(5, 3) == 10
-        assert binomial(2, 3) == 0
-        # direct factorial evaluation of C(7, 4)
-        assert binomial(7, 4) == factorial(7) // (factorial(4) * factorial(3)) == 35
-
     def test_vanishing_convention(self):
         assert binomial(4, -1) == 0
         assert binomial(0, 0) == 1

