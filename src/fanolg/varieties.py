@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 
-@dataclass(frozen=True)
 class CompleteIntersection:
     """A smooth complete intersection of dimension ``dim`` in projective space of
     dimension ``dim + k``, cut out by ``k = len(degrees)`` generic hypersurfaces.
@@ -16,6 +14,12 @@ class CompleteIntersection:
     ``sum(degrees) <= dim + k`` is enforced, as is ``degree >= 2`` for every
     hypersurface (a linear equation merely lowers the ambient dimension) and
     ``k >= 1`` (projective space itself is not accepted as a degenerate case).
+
+    A frozen slotted class: it is equal to, and hashed as, another
+    ``CompleteIntersection`` with the same ``(dim, degrees)``, and never equal
+    to any other object; its fields cannot be set or deleted, so a changed
+    variety is a new one.  Pickling and copying rebuild it through the
+    constructor, which checks it again.
 
     Three derived numbers are stored once, when the variety is built, and take
     no part in comparison, hashing or ``repr``:
@@ -27,17 +31,19 @@ class CompleteIntersection:
       polynomial.
     """
 
+    __slots__ = ("dim", "degrees", "k", "index", "l")
+    __match_args__ = ("dim", "degrees")
+
     dim: int
     degrees: tuple[int, ...]
-    k: int = field(init=False, repr=False, compare=False)
-    index: int = field(init=False, repr=False, compare=False)
-    l: int = field(init=False, repr=False, compare=False)
+    k: int
+    index: int
+    l: int
 
-    def __post_init__(self) -> None:
-        degrees = tuple(self.degrees)
-        object.__setattr__(self, "degrees", degrees)
-        if not isinstance(self.dim, int) or self.dim < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.dim!r}")
+    def __init__(self, dim: int, degrees: tuple[int, ...]) -> None:
+        degrees = tuple(degrees)
+        if not isinstance(dim, int) or dim < 2:
+            raise ValueError(f"dimension must be an integer >= 2, got {dim!r}")
         if not degrees:
             raise ValueError("at least one hypersurface is required (k = 0 is not supported)")
         for d in degrees:
@@ -47,17 +53,53 @@ class CompleteIntersection:
                     " (a degree-1 equation reduces to a smaller ambient space)"
                 )
         k = len(degrees)
-        index = self.dim + k + 1 - sum(degrees)
+        index = dim + k + 1 - sum(degrees)
         if index < 1:
             raise ValueError(
-                f"not Fano: total degree {sum(degrees)} exceeds dim + k = {self.dim + k}"
+                f"not Fano: total degree {sum(degrees)} exceeds dim + k = {dim + k}"
             )
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "l", index - 1)
+        _fill(self, dim, degrees, k, index)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.degrees) == (other.dim, other.degrees)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.degrees))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple[int, tuple[int, ...]]]:
+        return CompleteIntersection, (self.dim, self.degrees)
+
+    def __repr__(self) -> str:
+        return f"CompleteIntersection(dim={self.dim!r}, degrees={self.degrees!r})"
 
     def __str__(self) -> str:
         return f"dim {self.dim}, degrees ({', '.join(map(str, self.degrees))})"
+
+
+# the slots' own setters, which bypass the frozen __setattr__
+_SETTERS = tuple(
+    getattr(CompleteIntersection, name).__set__ for name in CompleteIntersection.__slots__
+)
+
+
+def _fill(
+    ci: CompleteIntersection, dim: int, degrees: tuple[int, ...], k: int, index: int
+) -> None:
+    """Store a variety's fields, which the caller has checked, in ``ci``."""
+    set_dim, set_degrees, set_k, set_index, set_l = _SETTERS
+    set_dim(ci, dim)
+    set_degrees(ci, degrees)
+    set_k(ci, k)
+    set_index(ci, index)
+    set_l(ci, index - 1)
 
 
 def fano_sweep(max_dim: int, max_k: int, max_degree: int) -> Iterator[CompleteIntersection]:
@@ -69,6 +111,11 @@ def fano_sweep(max_dim: int, max_k: int, max_degree: int) -> Iterator[CompleteIn
     and a prefix of sum s takes a next degree d only while s + d * (degrees
     left, d included) <= dim + k, so no tuple is built only to be filtered out.
     k stops at dim, since k degrees of at least 2 need 2k <= dim + k.
+
+    Every tuple built is therefore valid (k >= 1, each degree >= 2, sum at most
+    dim + k), so each variety takes its fields from the loop, the index from
+    the running sum, without the constructor's checks; it equals
+    ``CompleteIntersection(dim, degrees)`` in every field.
     """
     for dim in range(2, max_dim + 1):
         for k in range(1, min(max_k, dim) + 1):
@@ -81,5 +128,7 @@ def fano_sweep(max_dim: int, max_k: int, max_degree: int) -> Iterator[CompleteIn
                         (degrees or (2,))[-1], min(max_degree, (dim + k - s) // left) + 1
                     )
                 ]
-            for degrees, _ in level:
-                yield CompleteIntersection(dim, degrees)
+            for degrees, s in level:
+                ci = object.__new__(CompleteIntersection)
+                _fill(ci, dim, degrees, k, dim + k + 1 - s)
+                yield ci

@@ -1,8 +1,8 @@
 """The package's public API, as ``fanolg.__init__`` states it and as the
-README's library block uses it, with one kind of result record, and its budget
-constants, as the README states them and as the refusal table exceeds them; and
-the test modules, which share helpers only through the modules that are not
-tests."""
+README's library block uses it, with one kind of result record and no
+dataclass, and its budget constants, as the README states them and as the
+refusal table exceeds them; and the test modules, which share helpers only
+through the modules that are not tests."""
 
 import ast
 import importlib
@@ -11,6 +11,7 @@ from pathlib import Path
 from types import ModuleType
 
 import fanolg
+import fresh
 from refusals import REFUSALS
 
 PACKAGE = Path(fanolg.__file__).resolve().parent
@@ -87,12 +88,12 @@ def test_no_test_module_imports_another():
 
 
 def test_every_result_record_is_a_named_tuple():
-    # one kind of record; only the input type stays a dataclass, since its
-    # derived fields take no part in comparison
+    # one kind of record, and no dataclass: the input type is a frozen slotted
+    # class, since its derived fields take no part in comparison
     importers = {
         path.name for path in PACKAGE.glob("*.py") if "dataclasses" in imported_modules(path)
     }
-    assert importers == {"varieties.py"}
+    assert importers == set()
     classes = [getattr(fanolg, name) for name in fanolg.__all__]
     others = {
         cls.__name__
@@ -100,3 +101,12 @@ def test_every_result_record_is_a_named_tuple():
         if isinstance(cls, type) and not (issubclass(cls, tuple) and hasattr(cls, "_fields"))
     }
     assert others == {"CompleteIntersection", "LaurentPolynomial", "BudgetExceeded"}
+
+
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    # dataclasses imports inspect, the largest module start-up could load
+    done = fresh.python(
+        "-c", "import sys, fanolg.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
